@@ -39,8 +39,9 @@
 #              figure, whose in-process self-check requires the Bayesian-
 #              network backend to plan strictly cheaper than Chow-Liu on
 #              the XOR workload; teed to results/models-bench.txt
-#   alloc gates the trace disabled path (0 allocs) and the serve fast-path
-#              cache hit (<= 8 allocs), both without -race
+#   alloc gates the trace disabled path (0 allocs), the serve fast-path
+#              cache hit (<= 8 allocs) and one greedy plan on the miss
+#              path (<= 1,450 allocs), all without -race
 #   exec bench the streaming executor's per-tuple cost, teed to
 #              results/exec-bench.txt
 #   benchmarks the serve cache hit/miss paths and the parallel planner,
@@ -229,6 +230,11 @@ echo "== serve hot-path alloc gate"
 # (pre-serialized response blobs + pooled buffers; see serve/fast.go).
 # Like the trace gate, it must run without -race.
 go test -run='TestServeCacheHitAllocs' -count=1 ./internal/serve
+# A cache miss is one opt.Greedy plan. It ranks candidate splits from a
+# split sweep's counts (stats.SplitSweep), so what it allocates grows with
+# leaves and attributes; a context derived per candidate side would push
+# it past the gate several times over.
+go test -run='TestGreedyPlanAllocs' -count=1 ./internal/opt
 
 echo "== exec benchmark"
 # The streaming executor's per-tuple throughput over the unified

@@ -11,7 +11,7 @@ import (
 // parallel search — parent Conds are read concurrently and never
 // restricted in place by candidate evaluators — is auditable in one
 // screenful of code.
-var condShareAllowed = []string{"childCond", "predTrueCond", "restrictLazy"}
+var condShareAllowed = []string{"childCond", "restrictLazy"}
 
 func condShareAllows(name string) bool {
 	for _, a := range condShareAllowed {
@@ -27,11 +27,12 @@ func condShareAllows(name string) bool {
 // hand one Cond to many goroutines; a stray Restrict* call in search
 // code either re-derives a context the memo should have shared (a
 // silent O(rows) cost) or, worse, races with siblings reading the
-// parent. Route new derivations through childCond, predTrueCond, or
-// restrictLazy instead.
+// parent. Route new derivations through childCond or restrictLazy
+// instead; conditioning on a predicate holding goes through
+// stats.CondChain, which owns that chain for every planner.
 var CondShare = &Analyzer{
 	Name: "condshare",
-	Doc:  "confine Cond.Restrict* in internal/opt to the derivation helpers (childCond, predTrueCond, restrictLazy)",
+	Doc:  "confine Cond.Restrict* in internal/opt to the derivation helpers (childCond, restrictLazy)",
 	Run:  runCondShare,
 }
 

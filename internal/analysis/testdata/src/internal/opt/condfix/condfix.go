@@ -13,11 +13,6 @@ func childCond(c cond, attr int) cond {
 	return c.RestrictRange(attr, 0, 1)
 }
 
-// predTrueCond is allowed too.
-func predTrueCond(c cond) cond {
-	return c.RestrictPred(0, true)
-}
-
 // restrictLazy may derive inside a returned closure; the enclosing
 // declaration is what the allowlist matches.
 func restrictLazy(c cond, attr int) func() cond {

@@ -40,10 +40,11 @@ type Greedy struct {
 	// saving exceeds their amortized dissemination cost. MaxSplits still
 	// applies as a hard cap (set it large to let alpha alone decide).
 	Alpha float64
-	// Parallelism bounds the goroutines evaluating candidate splits and
-	// frontier leaves concurrently; values <= 1 plan sequentially. Plans
-	// are identical at every Parallelism (ties are broken by the fixed
-	// candidate order, not evaluation timing).
+	// Parallelism bounds the goroutines evaluating attributes' candidate
+	// splits and frontier leaves concurrently; values <= 1 plan
+	// sequentially. Plans and search counters are identical at every
+	// Parallelism (ties are broken by the fixed candidate order, not
+	// evaluation timing).
 	Parallelism int
 }
 
@@ -58,138 +59,228 @@ type greedySplitResult struct {
 	pLo            float64
 }
 
+// sideEval is one child of a candidate split: the verdict of its box on
+// the query and, when that is Unknown, its sequential plan — the order as
+// a span of the attribute's arena — with its expected cost. A child the
+// training data never reaches is not planned and costs nothing.
+type sideEval struct {
+	planned  bool
+	verdict  query.Truth
+	from, to int
+	cost     float64
+}
+
+// candEval is one evaluated candidate split point. full is false when the
+// candidate was abandoned after its low side because its partial cost
+// already reached the best cost known.
+type candEval struct {
+	pLo    float64
+	lo, hi sideEval
+	full   bool
+}
+
+// attrEval is every candidate of one attribute at one leaf. cands is nil
+// when the attribute was not evaluated: no candidates in range, the search
+// cancelled, or its acquisition cost alone reached the best cost known.
+type attrEval struct {
+	atomic float64 // C'_attr at the leaf
+	xs     []schema.Value
+	cands  []candEval
+	orders []query.Pred // arena of the children's predicate orders
+}
+
+// attrWork is the scratch of evaluating one attribute's candidates.
+type attrWork struct {
+	seq   seqWork
+	sweep stats.SweepBuf
+	child query.Box
+}
+
+// greedySearch is one run of Greedy.Plan: the query, the candidate split
+// points and the goroutine gate every leaf analysis shares.
+type greedySearch struct {
+	g    *Greedy
+	s    *schema.Schema
+	q    query.Query
+	spsf SPSF // g.SPSF plus the query's own endpoints
+	sem  *gate
+	// work is the one scratch of a search that evaluates attributes
+	// inline; with a gate every evaluation brings its own.
+	work *attrWork
+}
+
+func (g *Greedy) search(s *schema.Schema, q query.Query, span *trace.Span) *greedySearch {
+	gs := &greedySearch{g: g, s: s, q: q, spsf: g.SPSF.WithQueryEndpoints(s, q), sem: newGate(g.Parallelism, span)}
+	if gs.sem == nil {
+		gs.work = new(attrWork)
+	}
+	return gs
+}
+
 // greedySplit implements GreedySplit(phi, R_1..R_n) from Figure 6: the
 // locally optimal split point, assuming the optimal (or greedy)
-// sequential plan is used for each resulting subproblem. With a non-nil
-// gate the candidates are evaluated concurrently; the deterministic
-// reduction picks the same split the sequential loop would (first
-// candidate in (attr, x) order achieving the minimum cost).
-func (g *Greedy) greedySplit(ctx context.Context, s *schema.Schema, c stats.Cond, box query.Box, q query.Query, spsf SPSF, sem *gate) greedySplitResult {
-	if sem == nil {
-		return g.greedySplitSeq(ctx, s, c, box, q, spsf)
+// sequential plan is used for each resulting subproblem.
+//
+// Candidates are evaluated one attribute at a time (evalAttr), through a
+// split sweep when the context is empirical, and then reduced in the
+// fixed (attr, x) order. The reduction replays the sequential search —
+// skip an attribute whose acquisition cost cannot beat the best so far,
+// abandon a candidate whose low side already cannot, keep the first
+// candidate achieving the minimum — so the split chosen and the
+// Candidates/Pruned counters are the same at every Parallelism. With a
+// gate the attributes are evaluated concurrently; each prunes only
+// against costs of attributes before it (prefixBounds), which the replay
+// is guaranteed to prune against too.
+func (gs *greedySearch) greedySplit(ctx context.Context, c stats.Cond, box query.Box) greedySplitResult {
+	// A sweep keeps one table cell per satisfaction pattern of the open
+	// predicates that occurs at the leaf. Up to optSeqMaxPreds predicates
+	// those are few next to the leaf's rows; past it (where OptSeq has
+	// already given way to GreedySeq) they approach one per row and the
+	// children are cheaper to derive.
+	var sweep *stats.SplitSweep
+	if open := openPreds(gs.q, box); len(open) <= optSeqMaxPreds {
+		sweep = stats.NewSplitSweep(c, open)
 	}
-	type candidate struct {
-		attr int
-		x    schema.Value
-	}
-	var cands []candidate
-	for attr := 0; attr < s.NumAttrs(); attr++ {
-		for _, x := range spsf.Candidates(attr, box[attr]) {
-			cands = append(cands, candidate{attr: attr, x: x})
-		}
-	}
-	trace.FromContext(ctx).Count(trace.Candidates, int64(len(cands)))
-	best := newMinBound(math.Inf(1))
-	results := make([]greedySplitResult, len(cands))
+	bounds := newPrefixBounds(gs.s.NumAttrs())
+	evals := make([]attrEval, gs.s.NumAttrs())
 	var wg sync.WaitGroup
-	for i := range cands {
-		i := i
-		sem.run(&wg, func() {
-			results[i] = g.evalSplit(ctx, s, c, box, q, cands[i].attr, cands[i].x, best)
+	for attr := range evals {
+		gs.sem.run(&wg, func() {
+			evals[attr] = gs.evalAttr(ctx, c, sweep, box, attr, bounds)
 		})
 	}
 	wg.Wait()
-	res := greedySplitResult{cost: math.Inf(1)}
-	for i := range results {
-		if results[i].ok && results[i].cost < res.cost {
-			res = results[i]
-		}
-	}
-	return res
-}
 
-// evalSplit evaluates one candidate split exactly, or abandons it once its
-// partial cost strictly exceeds the shared best-so-far bound. Strict (>)
-// pruning means cost ties always evaluate fully, so the reduction's
-// fixed-order tie-break sees them.
-func (g *Greedy) evalSplit(ctx context.Context, s *schema.Schema, c stats.Cond, box query.Box, q query.Query, attr int, x schema.Value, best *minBound) greedySplitResult {
-	if ctx.Err() != nil {
-		return greedySplitResult{}
-	}
-	cost := predCost(s, box, attr)
-	if cost > best.get() {
-		trace.FromContext(ctx).Count(trace.Pruned, 1)
-		return greedySplitResult{}
-	}
-	r := box[attr]
-	loRange := query.Range{Lo: r.Lo, Hi: x - 1}
-	hiRange := query.Range{Lo: x, Hi: r.Hi}
-	pLo := c.ProbRange(attr, loRange)
-
-	loBox := box.With(attr, loRange)
-	loPlan, loCost := fallbackNode(q, loBox), 0.0
-	if pLo > 0 {
-		loPlan, loCost = SequentialPlan(g.Base, s, childCond(c, attr, loRange), loBox, q)
-		cost += pLo * loCost
-		if cost > best.get() {
-			trace.FromContext(ctx).Count(trace.Pruned, 1)
-			return greedySplitResult{}
-		}
-	}
-	hiBox := box.With(attr, hiRange)
-	hiPlan, hiCost := fallbackNode(q, hiBox), 0.0
-	if pHi := 1 - pLo; pHi > 0 {
-		hiPlan, hiCost = SequentialPlan(g.Base, s, childCond(c, attr, hiRange), hiBox, q)
-		cost += pHi * hiCost
-	}
-	best.lower(cost)
-	return greedySplitResult{
-		ok: true, cost: cost, attr: attr, x: x,
-		loPlan: loPlan, hiPlan: hiPlan,
-		loCost: loCost, hiCost: hiCost, pLo: pLo,
-	}
-}
-
-// greedySplitSeq is the sequential candidate loop, kept free of atomics
-// and goroutines for the Parallelism <= 1 path.
-func (g *Greedy) greedySplitSeq(ctx context.Context, s *schema.Schema, c stats.Cond, box query.Box, q query.Query, spsf SPSF) greedySplitResult {
 	sp := trace.FromContext(ctx)
 	res := greedySplitResult{cost: math.Inf(1)}
-	for attr := 0; attr < s.NumAttrs(); attr++ {
-		if ctx.Err() != nil {
-			// Cancelled mid-enumeration: report the best split seen so
-			// far (possibly none). The caller's plan stays valid either
-			// way because leaves are always complete sequential plans.
-			return res
-		}
-		atomic := predCost(s, box, attr)
-		if atomic >= res.cost {
+	var best *attrEval
+	var bestCand *candEval
+	for attr := range evals {
+		ev := &evals[attr]
+		if ev.cands == nil || ev.atomic >= res.cost {
 			continue
 		}
-		r := box[attr]
-		for _, x := range spsf.Candidates(attr, r) {
+		for i := range ev.cands {
+			cand := &ev.cands[i]
 			sp.Count(trace.Candidates, 1)
-			cost := atomic
-			loRange := query.Range{Lo: r.Lo, Hi: x - 1}
-			hiRange := query.Range{Lo: x, Hi: r.Hi}
-			pLo := c.ProbRange(attr, loRange)
-
-			loBox := box.With(attr, loRange)
-			loPlan, loCost := fallbackNode(q, loBox), 0.0
-			if pLo > 0 {
-				loPlan, loCost = SequentialPlan(g.Base, s, childCond(c, attr, loRange), loBox, q)
-				cost += pLo * loCost
+			cost := ev.atomic
+			if cand.pLo > 0 {
+				cost += cand.pLo * cand.lo.cost
 				if cost >= res.cost {
 					sp.Count(trace.Pruned, 1)
 					continue
 				}
 			}
-			hiBox := box.With(attr, hiRange)
-			hiPlan, hiCost := fallbackNode(q, hiBox), 0.0
-			if pHi := 1 - pLo; pHi > 0 {
-				hiPlan, hiCost = SequentialPlan(g.Base, s, childCond(c, attr, hiRange), hiBox, q)
-				cost += pHi * hiCost
+			if !cand.full {
+				panic("opt: greedySplit: the replay needs a candidate its evaluation abandoned")
+			}
+			if pHi := 1 - cand.pLo; pHi > 0 {
+				cost += pHi * cand.hi.cost
 			}
 			if cost < res.cost {
 				res = greedySplitResult{
-					ok: true, cost: cost, attr: attr, x: x,
-					loPlan: loPlan, hiPlan: hiPlan,
-					loCost: loCost, hiCost: hiCost, pLo: pLo,
+					ok: true, cost: cost, attr: attr, x: ev.xs[i],
+					loCost: cand.lo.cost, hiCost: cand.hi.cost, pLo: cand.pLo,
 				}
+				best, bestCand = ev, cand
 			}
 		}
 	}
+	if res.ok {
+		r := box[res.attr]
+		res.loPlan = best.node(bestCand.lo, gs.q, box.With(res.attr, query.Range{Lo: r.Lo, Hi: res.x - 1}))
+		res.hiPlan = best.node(bestCand.hi, gs.q, box.With(res.attr, query.Range{Lo: res.x, Hi: r.Hi}))
+	}
 	return res
+}
+
+// node builds the plan of one child of the winning candidate.
+func (ev *attrEval) node(sd sideEval, q query.Query, box query.Box) *plan.Node {
+	if !sd.planned {
+		return fallbackNode(q, box)
+	}
+	return seqNode(sd.verdict, ev.orders[sd.from:sd.to])
+}
+
+// evalAttr evaluates the candidate split points of one attribute at a
+// leaf: for each, the probability of its low side and the sequential plan
+// and cost of both children. With a sweep the children's statistics are
+// its running counts; without one (model backends, weighted cells) each
+// child context is derived from c. A candidate is abandoned after its low
+// side, and the attribute skipped outright, once the cost so far reaches
+// a bound that is never below the best cost the replay in greedySplit
+// will hold at that point: the costs published by earlier attributes and
+// by this attribute's earlier candidates.
+func (gs *greedySearch) evalAttr(ctx context.Context, c stats.Cond, sweep *stats.SplitSweep, box query.Box, attr int, bounds prefixBounds) attrEval {
+	r := box[attr]
+	xs := gs.spsf.Candidates(attr, r)
+	ev := attrEval{atomic: predCost(gs.s, box, attr), xs: xs}
+	bound := bounds.before(attr)
+	if len(xs) == 0 || ctx.Err() != nil || ev.atomic >= bound {
+		// Cancelled mid-enumeration: greedySplit reports the best split of
+		// the attributes evaluated so far (possibly none). The caller's
+		// plan stays valid either way because leaves are always complete
+		// sequential plans.
+		return ev
+	}
+	ev.cands = make([]candEval, len(xs))
+	ev.orders = make([]query.Pred, 0, 2*len(xs)*len(gs.q.Preds))
+	w := gs.work
+	if w == nil {
+		w = new(attrWork)
+	}
+	// The children's boxes differ from box in child[attr] only.
+	w.child = append(w.child[:0], box...)
+	// side plans one child from src, or from its derived context if nil.
+	side := func(src predSource, cr query.Range) sideEval {
+		w.child[attr] = cr
+		if src == nil {
+			src = stats.NewCondChain(childCond(c, attr, cr))
+		}
+		verdict, order, cost := w.seq.plan(gs.g.Base, gs.s, src, w.child, gs.q)
+		from := len(ev.orders)
+		ev.orders = append(ev.orders, order...)
+		return sideEval{planned: true, verdict: verdict, from: from, to: len(ev.orders), cost: cost}
+	}
+	visit := func(i int, lo, hi predSource) {
+		if ev.cands == nil {
+			return
+		}
+		before := bounds.before(attr)
+		if ev.atomic >= before {
+			ev.cands = nil // an earlier attribute got there meanwhile: skipped after all
+			return
+		}
+		bound = min(bound, before)
+		x, cand := xs[i], &ev.cands[i]
+		loRange := query.Range{Lo: r.Lo, Hi: x - 1}
+		cand.pLo = c.ProbRange(attr, loRange)
+		cost := ev.atomic
+		if cand.pLo > 0 {
+			cand.lo = side(lo, loRange)
+			cost += cand.pLo * cand.lo.cost
+			if cost >= bound {
+				return
+			}
+		}
+		if pHi := 1 - cand.pLo; pHi > 0 {
+			cand.hi = side(hi, query.Range{Lo: x, Hi: r.Hi})
+			cost += pHi * cand.hi.cost
+		}
+		cand.full = true
+		if cost < bound {
+			bound = cost
+			bounds.publish(attr, cost)
+		}
+	}
+	if sweep != nil {
+		sweep.Attr(attr, xs, &w.sweep, func(i int, lo, hi *stats.SweepSide) { visit(i, lo, hi) })
+	} else {
+		for i := 0; i < len(xs) && ev.cands != nil; i++ {
+			visit(i, nil, nil)
+		}
+	}
+	return ev
 }
 
 // leafEntry is a priority-queue entry: a leaf of the current plan together
@@ -230,25 +321,25 @@ func (q *leafQueue) Pop() interface{} {
 // Callers can distinguish a truncated run by checking ctx.Err.
 //
 // With Parallelism > 1 the two frontier leaves created by each expansion
-// are analyzed concurrently, and each analysis evaluates its candidate
-// splits concurrently, all on one bounded goroutine pool. The expansion
-// loop itself stays sequential — heap order, not evaluation timing,
-// decides which leaf is expanded next — so the resulting plan is
+// are analyzed concurrently, and each analysis evaluates its attributes'
+// candidate splits concurrently, all on one bounded goroutine pool. The
+// expansion loop itself stays sequential — heap order, not evaluation
+// timing, decides which leaf is expanded next — so the resulting plan is
 // identical at every Parallelism.
 func (g *Greedy) Plan(ctx context.Context, d stats.Dist, q query.Query) (*plan.Node, float64) {
 	s := d.Schema()
 	tsp := trace.FromContext(ctx)
-	spsf := g.SPSF.WithQueryEndpoints(s, q)
+	gs := g.search(s, q, tsp)
 	rootBox := query.FullBox(s)
 	rootCond := d.Root()
-	sem := newGate(g.Parallelism, tsp)
 
 	seedRef := tsp.Begin("greedy-seed")
-	rootPlan, rootCost := SequentialPlan(g.Base, s, rootCond, rootBox, q)
-	root := rootPlan
+	root, rootCost := SequentialPlan(g.Base, s, rootCond, rootBox, q)
 
 	pq := &leafQueue{}
-	g.enqueue(ctx, pq, s, q, spsf, sem, root, rootCond, rootBox, 1, rootCost)
+	if e := gs.splitEntry(ctx, root, rootCond, rootBox, 1, rootCost); e != nil {
+		heap.Push(pq, e)
+	}
 	tsp.End(seedRef)
 
 	expandRef := tsp.Begin("greedy-expand")
@@ -263,7 +354,7 @@ func (g *Greedy) Plan(ctx context.Context, d stats.Dist, q query.Query) (*plan.N
 		// children start as the split's sequential plans.
 		*top.node = *plan.NewSplit(sp.attr, sp.x, sp.loPlan, sp.hiPlan)
 		splits++
-		trace.FromContext(ctx).Count(trace.LeafExpansions, 1)
+		tsp.Count(trace.LeafExpansions, 1)
 		if splits >= g.MaxSplits {
 			break
 		}
@@ -271,20 +362,19 @@ func (g *Greedy) Plan(ctx context.Context, d stats.Dist, q query.Query) (*plan.N
 		hiRange := query.Range{Lo: sp.x, Hi: top.box[sp.attr].Hi}
 		// The two new frontier leaves are independent subproblems;
 		// analyze them concurrently, then push lo before hi so the heap's
-		// tie order is fixed.
+		// tie order is fixed. Only now, for the split that was kept, are
+		// the children's contexts derived.
 		var entries [2]*leafEntry
 		var wg sync.WaitGroup
 		if sp.pLo > 0 {
-			sem.run(&wg, func() {
-				entries[0] = g.splitEntry(ctx, s, q, spsf, sem,
-					top.node.Left, childCond(top.c, sp.attr, loRange),
+			gs.sem.run(&wg, func() {
+				entries[0] = gs.splitEntry(ctx, top.node.Left, childCond(top.c, sp.attr, loRange),
 					top.box.With(sp.attr, loRange), top.reach*sp.pLo, sp.loCost)
 			})
 		}
 		if pHi := 1 - sp.pLo; pHi > 0 {
-			sem.run(&wg, func() {
-				entries[1] = g.splitEntry(ctx, s, q, spsf, sem,
-					top.node.Right, childCond(top.c, sp.attr, hiRange),
+			gs.sem.run(&wg, func() {
+				entries[1] = gs.splitEntry(ctx, top.node.Right, childCond(top.c, sp.attr, hiRange),
 					top.box.With(sp.attr, hiRange), top.reach*pHi, sp.hiCost)
 			})
 		}
@@ -309,34 +399,24 @@ func (g *Greedy) Plan(ctx context.Context, d stats.Dist, q query.Query) (*plan.N
 // splitEntry computes the greedy split for a leaf and builds its queue
 // entry with priority P(reach) * (C(seq) - C(split)), the expected gain of
 // expanding it (Section 4.2.2). It returns nil when no split applies.
-func (g *Greedy) splitEntry(ctx context.Context, s *schema.Schema, q query.Query, spsf SPSF, sem *gate,
-	node *plan.Node, c stats.Cond, box query.Box, reach, seqCost float64) *leafEntry {
+func (gs *greedySearch) splitEntry(ctx context.Context, node *plan.Node, c stats.Cond, box query.Box, reach, seqCost float64) *leafEntry {
 	if node.Kind == plan.Leaf {
 		return nil // already decided; nothing to split
 	}
-	sp := g.greedySplit(ctx, s, c, box, q, spsf, sem)
+	sp := gs.greedySplit(ctx, c, box)
 	if !sp.ok {
 		return nil
 	}
 	priority := reach * (seqCost - sp.cost)
-	if g.Alpha > 0 {
+	if gs.g.Alpha > 0 {
 		// Joint objective (Section 2.4): charge the split for the extra
 		// plan bytes it would disseminate.
 		deltaBytes := plan.Size(plan.NewSplit(sp.attr, sp.x, sp.loPlan, sp.hiPlan)) - plan.Size(node)
-		priority -= g.Alpha * float64(deltaBytes)
+		priority -= gs.g.Alpha * float64(deltaBytes)
 	}
 	return &leafEntry{
 		node: node, c: c, box: box, reach: reach,
 		seqCost: seqCost, split: sp,
 		priority: priority,
-	}
-}
-
-// enqueue computes the greedy split for a leaf and inserts it into the
-// queue.
-func (g *Greedy) enqueue(ctx context.Context, pq *leafQueue, s *schema.Schema, q query.Query, spsf SPSF, sem *gate,
-	node *plan.Node, c stats.Cond, box query.Box, reach, seqCost float64) {
-	if e := g.splitEntry(ctx, s, q, spsf, sem, node, c, box, reach, seqCost); e != nil {
-		heap.Push(pq, e)
 	}
 }

@@ -47,6 +47,33 @@ func (b *minBound) lower(v float64) {
 	}
 }
 
+// prefixBounds lets the per-attribute candidate evaluations of one leaf
+// prune against each other without changing what the fixed-order replay
+// sees: entry a is an upper bound on the best split cost the replay holds
+// when it reaches attribute a, because only attributes before a lower it
+// and every cost they publish is a complete split's cost. Run inline in
+// attribute order the bound is exact; run concurrently it is whatever
+// earlier attributes have finished so far, never lower.
+type prefixBounds []minBound
+
+func newPrefixBounds(attrs int) prefixBounds {
+	b := make(prefixBounds, attrs)
+	for i := range b {
+		b[i].bits.Store(math.Float64bits(math.Inf(1)))
+	}
+	return b
+}
+
+// before returns the bound for attribute attr.
+func (b prefixBounds) before(attr int) float64 { return b[attr].get() }
+
+// publish records a complete split cost of attribute attr.
+func (b prefixBounds) publish(attr int, cost float64) {
+	for i := attr + 1; i < len(b); i++ {
+		b[i].lower(cost)
+	}
+}
+
 // memoShards is the fixed shard count of boxMemo. Box keys hash uniformly
 // (they pack range endpoints), so 64 shards keep lock contention negligible
 // at any plausible Parallelism.
@@ -197,17 +224,12 @@ func (b *errBox) get() error {
 }
 
 // childCond derives the child conditioning context for one branch of a
-// conditioning split. Together with predTrueCond and restrictLazy it is
-// the only place internal/opt may call Cond.RestrictRange/RestrictPred
-// (acqlint's condshare analyzer enforces this): derivation reads the
-// shared parent and returns a fresh context, so concurrent searches never
-// mutate a Cond another goroutine is reading.
+// conditioning split. Together with restrictLazy it is the only place
+// internal/opt may call Cond.RestrictRange/RestrictPred (acqlint's
+// condshare analyzer enforces this): derivation reads the shared parent
+// and returns a fresh context, so concurrent searches never mutate a Cond
+// another goroutine is reading. Conditioning on a predicate holding, for
+// sequential-plan construction, happens behind stats.CondChain.
 func childCond(c stats.Cond, attr int, r query.Range) stats.Cond {
 	return c.RestrictRange(attr, r)
-}
-
-// predTrueCond conditions on a predicate holding, for sequential-plan
-// construction.
-func predTrueCond(c stats.Cond, p query.Pred) stats.Cond {
-	return c.RestrictPred(p, true)
 }

@@ -110,3 +110,38 @@ func TestGreedyByteIdenticalWithSpan(t *testing.T) {
 		t.Errorf("no seed recorded any greedy candidates")
 	}
 }
+
+// TestGreedySearchCountersIgnoreParallelism pins the candidate accounting:
+// the reduction replays the sequential search whatever evaluated the
+// candidates, so Candidates (split points of attributes whose acquisition
+// cost could still beat the best split so far), Pruned (of those, the ones
+// abandoned after their low side) and LeafExpansions do not depend on the
+// worker count — and neither does acqserved_search_candidates.
+func TestGreedySearchCountersIgnoreParallelism(t *testing.T) {
+	counters := []trace.Counter{trace.Candidates, trace.Pruned, trace.LeafExpansions}
+	sawPruned := false
+	for seed := int64(100); seed < 124; seed++ {
+		s, d, q := randWorld(seed)
+		var want [3]int64
+		for i, par := range parallelismLevels() {
+			sp := trace.NewSpan(time.Now)
+			g := Greedy{SPSF: UniformSPSFSame(s, 4), MaxSplits: 4, Base: SeqOpt, Parallelism: par}
+			g.Plan(trace.NewContext(context.Background(), sp), d, q)
+			for k, c := range counters {
+				got := sp.Counter(c)
+				if i == 0 {
+					want[k] = got
+				} else if got != want[k] {
+					t.Errorf("seed %d: %v = %d at parallelism %d, %d at parallelism 1", seed, c, got, par, want[k])
+				}
+			}
+		}
+		if want[0] < want[1] {
+			t.Errorf("seed %d: %d candidates pruned of %d evaluated", seed, want[1], want[0])
+		}
+		sawPruned = sawPruned || want[1] > 0
+	}
+	if !sawPruned {
+		t.Errorf("no seed pruned a candidate; the test does not exercise the shared bound")
+	}
+}

@@ -46,35 +46,51 @@ func ExpectedCost(n *Node, s *schema.Schema, c stats.Cond, box query.Box) float6
 		}
 		return cost
 	case Seq:
-		return expectedSeqCost(n.Preds, s, c, box)
+		return ExpectedSeqCost(n.Preds, s, stats.NewCondChain(c), box)
 	default:
 		panic("plan: invalid node kind")
 	}
 }
 
-// expectedSeqCost computes the expected cost of evaluating the predicates
-// in order, stopping at the first failure. Attributes already observed on
-// the path (restricted in the box) or by an earlier predicate of the same
-// sequence cost nothing to re-test.
-func expectedSeqCost(preds []query.Pred, s *schema.Schema, c stats.Cond, box query.Box) float64 {
-	acquired := make(map[int]bool, len(preds))
-	isAcq := func(i int) bool { return acquired[i] || box.Observed(i, s.K(i)) }
+// PredChain is the statistics a sequence of predicates is costed from:
+// the probability of a predicate given the evidence and every predicate
+// assumed so far. stats.CondChain answers from any conditioning context;
+// stats.SweepSide answers the same from a split sweep's counts, which is
+// how the greedy planner costs a candidate split's children without
+// deriving their contexts.
+type PredChain interface {
+	// ProbPred returns P(p satisfied | evidence, every assumed predicate).
+	ProbPred(p query.Pred) float64
+	// AssumeTrue conditions everything asked afterwards on p holding.
+	AssumeTrue(p query.Pred)
+}
+
+// ExpectedSeqCost computes the expected cost of evaluating the predicates
+// in order, stopping at the first failure — the sequential-plan case of
+// Equation (3). pc must stand at the evidence of the box with nothing
+// assumed; it is left wherever the sequence stopped. Attributes already
+// observed on the path (restricted in the box) or by an earlier predicate
+// of the same sequence cost nothing to re-test.
+func ExpectedSeqCost(preds []query.Pred, s *schema.Schema, pc PredChain, box query.Box) float64 {
+	var buf [4]uint64
+	acquired := s.NewAttrSet(buf[:])
+	isAcq := func(i int) bool { return acquired.Has(i) || box.Observed(i, s.K(i)) }
 	total := 0.0
 	reach := 1.0 // probability execution reaches the current predicate
-	for _, p := range preds {
+	for i, p := range preds {
 		if !isAcq(p.Attr) {
 			total += reach * s.AcquisitionCostWith(p.Attr, isAcq)
 		}
-		acquired[p.Attr] = true
-		pSat := c.ProbPred(p)
+		acquired.Add(p.Attr)
+		pSat := pc.ProbPred(p)
 		reach *= pSat
-		if floats.Zero(reach) {
-			// The remaining predicates are unreachable (or carry
+		if floats.Zero(reach) || i == len(preds)-1 {
+			// The remaining predicates, if any, are unreachable (or carry
 			// negligible probability mass); their cost contributes
 			// nothing.
 			break
 		}
-		c = c.RestrictPred(p, true)
+		pc.AssumeTrue(p)
 	}
 	return total
 }

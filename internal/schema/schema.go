@@ -194,3 +194,27 @@ func (s *Schema) SortedNames() []string {
 	sort.Strings(names)
 	return names
 }
+
+// AttrSet is a set of attribute indexes, one bit each. The planners keep
+// "already acquired" sets on their innermost loops, where a map per call
+// would dominate the arithmetic.
+type AttrSet []uint64
+
+// NewAttrSet returns an empty set able to hold every attribute of the
+// schema. It reuses buf when that is large enough, so a caller with a
+// small array on its stack allocates nothing for ordinary schemas.
+func (s *Schema) NewAttrSet(buf []uint64) AttrSet {
+	words := (len(s.attrs) + 63) / 64
+	if words > len(buf) {
+		return make(AttrSet, words)
+	}
+	set := AttrSet(buf[:words])
+	clear(set)
+	return set
+}
+
+// Has reports whether attribute i is in the set.
+func (a AttrSet) Has(i int) bool { return a[i>>6]&(1<<uint(i&63)) != 0 }
+
+// Add puts attribute i in the set.
+func (a AttrSet) Add(i int) { a[i>>6] |= 1 << uint(i&63) }

@@ -197,7 +197,7 @@ func resolveResilience(cc *ClusterConfig) resilience {
 // diverged statistics" in cluster introspection.
 func (s *Server) StatsDigest() uint64 {
 	dist, epoch := s.snapshot()
-	root := dist.Root() // fresh conditioning context, private to this call
+	root := dist.Root() // read-only: an empirical table shares one root context with every planner
 	h := fnv.New64a()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], epoch)

@@ -15,20 +15,21 @@ import (
 // only read the shared parent.
 func TestConcurrentCondReaders(t *testing.T) {
 	tbl := buildTable(t)
-	dists := map[string]Dist{
-		"empirical": NewEmpirical(tbl),
-		"weighted":  Compress(tbl),
+	dists := map[string]func() Dist{
+		"empirical": func() Dist { return NewEmpirical(tbl) },
+		"weighted":  func() Dist { return Compress(tbl) },
 	}
-	for name, d := range dists {
-		d := d
+	for name, newDist := range dists {
+		newDist := newDist
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			root := d.Root()
+			root := newDist().Root()
 			wantHist := append([]float64(nil), root.Hist(1)...)
 			wantP := root.ProbRange(2, query.Range{Lo: 1, Hi: 2})
 
-			// A fresh root whose caches are cold, shared by all readers.
-			shared := d.Root()
+			// The root of a fresh distribution, whose caches are cold (an
+			// Empirical hands every caller one root), shared by all readers.
+			shared := newDist().Root()
 			const readers = 16
 			var wg sync.WaitGroup
 			errs := make(chan string, readers)

@@ -144,3 +144,31 @@ func CondSatProb(satProb []float64, s uint32, j int) float64 {
 	}
 	return clampProb(satProb[s|1<<uint(j)] / den)
 }
+
+// CondChain is a Cond read as the cursor sequential planning and
+// Equation (3) use: probabilities of predicates given that the predicates
+// assumed so far all hold. It is the one place a chain of
+// RestrictPred(p, true) contexts is derived, for every Cond
+// implementation; SweepSide is the same cursor over a split sweep's
+// counts.
+type CondChain struct {
+	base, cur Cond
+}
+
+// NewCondChain starts a chain at the context c.
+func NewCondChain(c Cond) *CondChain { return &CondChain{base: c, cur: c} }
+
+// ProbPred returns P(p satisfied | evidence, every assumed predicate).
+func (cc *CondChain) ProbPred(p query.Pred) float64 { return cc.cur.ProbPred(p) }
+
+// AssumeTrue conditions everything asked afterwards on p being satisfied.
+func (cc *CondChain) AssumeTrue(p query.Pred) { cc.cur = cc.cur.RestrictPred(p, true) }
+
+// Reset drops every AssumeTrue, returning to the context the chain
+// started at.
+func (cc *CondChain) Reset() { cc.cur = cc.base }
+
+// MaskJoint is PredMaskJoint over preds under the chain's current context.
+func (cc *CondChain) MaskJoint(preds []query.Pred) []float64 {
+	return PredMaskJoint(cc.cur, query.Query{Preds: preds})
+}

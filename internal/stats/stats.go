@@ -74,7 +74,9 @@ type Cond interface {
 // "estimate from counts from a dataset D of d tuples" scheme of
 // Sections 2.3 and 5.
 type Empirical struct {
-	tbl *table.Table
+	tbl      *table.Table
+	rootOnce sync.Once
+	root     *empCond
 }
 
 // NewEmpirical wraps a table as a distribution. The table must outlive the
@@ -89,13 +91,19 @@ func (e *Empirical) Schema() *schema.Schema { return e.tbl.Schema() }
 // NumTuples returns d, the number of historical samples.
 func (e *Empirical) NumTuples() int { return e.tbl.NumRows() }
 
-// Root implements Dist: the context over all d tuples.
+// Root implements Dist: the context over all d tuples. It is built once
+// and shared by every caller — a Cond is immutable once published — so a
+// planner, its cost evaluation and its baselines all read one identity
+// selection vector and one set of root histograms.
 func (e *Empirical) Root() Cond {
-	rows := make([]int32, e.tbl.NumRows())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return newEmpCond(e.tbl, rows)
+	e.rootOnce.Do(func() {
+		rows := make([]int32, e.tbl.NumRows())
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		e.root = newEmpCond(e.tbl, rows)
+	})
+	return e.root
 }
 
 func newEmpCond(tbl *table.Table, rows []int32) *empCond {
