@@ -209,18 +209,10 @@ var (
 	// optimization; feed the order to ExecOptions.Order with
 	// ExecOptions.Exists.
 	RankByCheapEvidence = exec.RankByCheapEvidence
-
-	// Deprecated convenience aliases over the legacy executor entry
-	// points; new code should call Execute.
-	ExecuteTable         = exec.Run
-	ExecuteExists        = exec.RunExists
-	ExecuteLimit         = exec.RunLimit
-	ExecuteExistsOrdered = exec.RunExistsOrdered
 )
 
 // ExecOptions configures Execute. The zero value executes the plan over
-// every tuple with ground-truth verification — the historical
-// ExecuteTable behavior.
+// every tuple with ground-truth verification.
 type ExecOptions struct {
 	// Source overrides the table argument as the tuple supply; when set,
 	// tbl may be nil. Use it for stream windows (StreamWindow.Source) or
@@ -461,22 +453,6 @@ func Optimize(ctx context.Context, d Dist, q Query, o Options) (*Plan, float64, 
 		node, cost := g.Plan(ctx, d, q)
 		return node, cost, nil
 	}
-}
-
-// OptimizeExhaustive builds the optimal conditional plan with the
-// exponential-time exhaustive planner of Section 3.2, restricted to the
-// given per-attribute split-point count. budget caps the number of
-// subproblems explored (0 = unlimited); ErrBudgetExceeded is returned when
-// exceeded.
-//
-// Deprecated-style convenience kept for source compatibility: new code
-// should call Optimize with Algorithm: AlgorithmExhaustive.
-func OptimizeExhaustive(ctx context.Context, d Dist, q Query, splitPoints, budget int) (*Plan, float64, error) {
-	return Optimize(ctx, d, q, Options{
-		Algorithm:   AlgorithmExhaustive,
-		SplitPoints: splitPoints,
-		Budget:      budget,
-	})
 }
 
 // NaivePlan builds the traditional optimizer baseline: predicates ordered

@@ -89,7 +89,9 @@ func TestPublicAPIFigure2(t *testing.T) {
 func TestPublicAPIExhaustive(t *testing.T) {
 	_, tbl, q := figure2World()
 	d := acqp.NewEmpirical(tbl)
-	p, cost, err := acqp.OptimizeExhaustive(context.Background(), d, q, 4, 100_000)
+	p, cost, err := acqp.Optimize(context.Background(), d, q, acqp.Options{
+		Algorithm: acqp.AlgorithmExhaustive, SplitPoints: 4, Budget: 100_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,14 +320,14 @@ func TestPublicAPIExecuteLimitAndExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, cost := acqp.ExecuteLimit(s, p, tbl, 3)
-	if len(rows) != 3 || cost <= 0 {
-		t.Errorf("ExecuteLimit = %v, %g", rows, cost)
+	lim, err := acqp.Execute(context.Background(), s, p, acqp.Query{}, tbl, acqp.ExecOptions{Limit: 3, SkipVerify: true})
+	if err != nil || len(lim.Rows) != 3 || lim.TotalCost <= 0 {
+		t.Errorf("Limit 3 = %v, %g (%v)", lim.Rows, lim.TotalCost, err)
 	}
 	order, _ := acqp.RankByCheapEvidence(d, q, tbl, 0)
-	found, _, _ := acqp.ExecuteExistsOrdered(s, p, tbl, order)
-	if !found {
-		t.Error("ordered exists found nothing")
+	ex, err := acqp.Execute(context.Background(), s, p, acqp.Query{}, tbl, acqp.ExecOptions{Exists: true, SkipVerify: true, Order: order})
+	if err != nil || !ex.Found {
+		t.Errorf("ordered exists found nothing (%v)", err)
 	}
 	if !strings.Contains(acqp.Dot(p, s), "digraph") {
 		t.Error("Dot output malformed")

@@ -40,8 +40,10 @@
 #              network backend to plan strictly cheaper than Chow-Liu on
 #              the XOR workload; teed to results/models-bench.txt
 #   alloc gates the trace disabled path (0 allocs), the serve fast-path
-#              cache hit (<= 8 allocs) and one greedy plan on the miss
-#              path (<= 1,450 allocs), all without -race
+#              cache hit (<= 8 allocs), one greedy plan on the miss path
+#              (<= 1,450 allocs) and one Execute over 4,096 rows (<= 6
+#              allocs), all without -race; every -run gate fails when
+#              its selector matches no test
 #   exec bench the streaming executor's per-tuple cost, teed to
 #              results/exec-bench.txt
 #   benchmarks the serve cache hit/miss paths and the parallel planner,
@@ -54,6 +56,22 @@
 # FUZZTIME overrides the per-target fuzzing budget (default 5s).
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# gate_test runs `go test` with a -run selector and fails when the
+# selector matches no test in some package: a renamed test must not turn
+# its gate into a silent no-op.
+gate_test() {
+	local out
+	if ! out=$(go test "$@" 2>&1); then
+		echo "$out"
+		return 1
+	fi
+	echo "$out"
+	if grep -q 'no tests to run' <<<"$out"; then
+		echo "ci: go test $* matched no tests" >&2
+		return 1
+	fi
+}
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)
@@ -198,11 +216,12 @@ awk -F'[ ,]+' '
 
 echo "== chaos smoke"
 # Fault-injection gate: the policy tests pin exact retry-cost accounting
-# and rate-zero byte-identity, the sensornet test drives a seeded lossy
+# and rate-zero byte-identity, the exec golden freezes fault-path results
+# and profiles bit for bit, the sensornet test drives a seeded lossy
 # network end to end, and the faults figure aborts on any panic, negative
 # cost, or mismatch regression (its invariants are checked in-process).
-go test -run='TestRunFaulty' -count=1 ./internal/exec
-go test -run='TestZeroFaultProfileIsByteIdentical|TestLossyLinksChargeRetransmissions|TestDeployFaultyNeverNegative' -count=1 ./internal/sensornet
+gate_test -run='TestRunFaulty|TestExecGolden' -count=1 ./internal/exec
+gate_test -run='TestZeroFaultProfileIsByteIdentical|TestLossyLinksChargeRetransmissions|TestDeployFaultyNeverNegative' -count=1 ./internal/sensornet
 mkdir -p results
 go run ./cmd/acqbench -fig faults | tee results/faults-bench.txt
 
@@ -214,7 +233,7 @@ echo "== model backend gate"
 # headline claim in-process: BN plans strictly cheaper than the Chow-Liu
 # tree on the XOR workload, where the defining correlation is one no tree
 # can represent.
-go test -race -run='TestConformance|TestFit|TestBN' -count=1 ./internal/model
+gate_test -race -run='TestConformance|TestFit|TestBN' -count=1 ./internal/model
 mkdir -p results
 go run ./cmd/acqbench -fig models | tee results/models-bench.txt
 
@@ -223,18 +242,22 @@ echo "== trace zero-alloc gate"
 # nil-span/nil-profile hot loops must report exactly 0 allocs/op. Run
 # without -race (the race runtime allocates; the test skips itself under
 # it, which would silently void the gate).
-go test -run='TestDisabledPathZeroAllocs' -count=1 ./internal/trace
+gate_test -run='TestDisabledPathZeroAllocs' -count=1 ./internal/trace
 
 echo "== serve hot-path alloc gate"
 # A fast-path /plan cache hit must serve in at most 8 allocations
 # (pre-serialized response blobs + pooled buffers; see serve/fast.go).
 # Like the trace gate, it must run without -race.
-go test -run='TestServeCacheHitAllocs' -count=1 ./internal/serve
+gate_test -run='TestServeCacheHitAllocs' -count=1 ./internal/serve
 # A cache miss is one opt.Greedy plan. It ranks candidate splits from a
 # split sweep's counts (stats.SplitSweep), so what it allocates grows with
 # leaves and attributes; a context derived per candidate side would push
 # it past the gate several times over.
-go test -run='TestGreedyPlanAllocs' -count=1 ./internal/opt
+gate_test -run='TestGreedyPlanAllocs' -count=1 ./internal/opt
+# One Execute over a 4,096-row table, plain and profiled, allocates a
+# fixed handful (<= 6) whatever the row count; a per-tuple or per-node
+# allocation in the plan walker would multiply it.
+gate_test -run='TestExecuteAllocs' -count=1 ./internal/exec
 
 echo "== exec benchmark"
 # The streaming executor's per-tuple throughput over the unified

@@ -66,9 +66,13 @@ func main() {
 		nRes.MeanCost(), cRes.MeanCost(), (1-cRes.MeanCost()/nRes.MeanCost())*100)
 
 	// Existential query (Section 7): "is there any qualifying offer?"
-	found, idx, latency := acqp.ExecuteExists(s, cond, live)
+	eRes, err := acqp.Execute(context.Background(), s, cond, acqp.Query{}, live,
+		acqp.ExecOptions{Exists: true, SkipVerify: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("first qualifying offer: found=%v at offer %d after %.0f ms of fetches\n",
-		found, idx, latency)
+		eRes.Found, eRes.FoundRow, eRes.TotalCost)
 }
 
 // simulateOffers generates correlated offer data with complementary

@@ -4,22 +4,12 @@
 // disjoint test window (Section 6, "Test v. Training"), charging each
 // attribute acquisition at its schema cost.
 //
-// Execute is the entry point: one streaming, batch-at-a-time executor
-// over which profiling, fault injection, limits, existential
-// short-circuiting, and explicit row orders compose as Options. The
-// historical entry points (Run, RunExists, RunLimit, RunExistsOrdered,
-// RunProfiled, RunFaulty) remain as thin wrappers.
+// Execute is the only entry point: one streaming, batch-at-a-time
+// executor over which profiling, fault injection, limits, existential
+// short-circuiting, and explicit row orders compose as Options.
 package exec
 
-import (
-	"context"
-	"fmt"
-
-	"acqp/internal/plan"
-	"acqp/internal/query"
-	"acqp/internal/schema"
-	"acqp/internal/table"
-)
+import "fmt"
 
 // Result summarizes one plan execution over a source.
 type Result struct {
@@ -42,7 +32,11 @@ type Result struct {
 	// Options.Exists (FoundRow is -1 when none exists, and 0 when the
 	// option was not set). Rows collects the selected global row indexes
 	// under Options.Limit. Fault carries fault-path accounting when
-	// Options.Faults was set, nil otherwise.
+	// Options.Faults was set, nil otherwise; with it set, Selected and
+	// Mismatches consider only answered (non-abstained) tuples, and
+	// Mismatches counts only wrong answers on tuples no fault touched —
+	// fault-induced errors are classed as Fault.FalsePositives and
+	// Fault.FalseNegatives.
 	Found    bool
 	FoundRow int
 	Rows     []int
@@ -71,86 +65,24 @@ func (r Result) String() string {
 		r.Tuples, r.Selected, r.MeanCost(), r.MaxCost, r.Mismatches)
 }
 
-// AsFaultResult converts a Result produced with Options.Faults into the
-// legacy FaultResult shape; the embedded Result has the fault stats
-// detached so it compares equal to a fault-free Result when no fault
-// fired.
-func (r Result) AsFaultResult() FaultResult {
-	fs := r.Fault
-	if fs == nil {
-		fs = &FaultStats{}
+// Answered returns the number of tuples that received a definite answer:
+// every tuple, less those the fault path abstained on.
+func (r Result) Answered() int {
+	if r.Fault == nil {
+		return r.Tuples
 	}
-	r.Fault = nil
-	return FaultResult{
-		Result:         r,
-		Failures:       fs.Failures,
-		Retries:        fs.Retries,
-		RetryCost:      fs.RetryCost,
-		StaleReads:     fs.StaleReads,
-		Abstained:      fs.Abstained,
-		AbstainedTrue:  fs.AbstainedTrue,
-		Imputed:        fs.Imputed,
-		Replans:        fs.Replans,
-		FalsePositives: fs.FalsePositives,
-		FalseNegatives: fs.FalseNegatives,
-	}
+	return r.Tuples - r.Fault.Abstained
 }
 
-// mustExecute backs the legacy wrappers, whose signatures predate both
-// context plumbing and error returns: with a valid schema/plan/table and
-// no fault config, Execute cannot fail.
-func mustExecute(s *schema.Schema, p *plan.Node, q query.Query, o Options) Result {
-	//acqlint:ignore ctxbg legacy wrapper with no ctx parameter; Execute is the context-threading API
-	res, err := Execute(context.Background(), Request{Schema: s, Plan: p, Query: q, Options: o})
-	if err != nil {
-		panic(fmt.Sprintf("exec: legacy wrapper: %v", err))
+// Accuracy returns the fraction of answered tuples answered correctly.
+func (r Result) Accuracy() float64 {
+	n := r.Answered()
+	if n == 0 {
+		return 1
 	}
-	return res
-}
-
-// Run executes the plan over every tuple of the table, verifying each
-// output against the ground-truth query evaluation.
-//
-// Deprecated: use Execute with a TableSource.
-func Run(s *schema.Schema, p *plan.Node, q query.Query, tbl *table.Table) Result {
-	return mustExecute(s, p, q, Options{Source: NewTableSource(tbl, 0)})
-}
-
-// RunExists executes the plan over tuples in order until the first
-// satisfying tuple is found — the existential-query extension of
-// Section 7 ("is there a sensor recording high light and temperature?").
-// It returns whether a satisfying tuple exists, its row index (-1 if
-// none), and the acquisition cost spent to decide.
-//
-// Deprecated: use Execute with Options.Exists.
-func RunExists(s *schema.Schema, p *plan.Node, tbl *table.Table) (found bool, rowIdx int, cost float64) {
-	res := mustExecute(s, p, query.Query{}, Options{
-		Source: NewTableSource(tbl, 0), Exists: true, SkipVerify: true,
-	})
-	return res.Found, res.FoundRow, res.TotalCost
-}
-
-// RunLimit executes the plan until limit satisfying tuples have been
-// found (the LIMIT-clause extension of Section 7), returning the selected
-// row indexes and total cost.
-//
-// Deprecated: use Execute with Options.Limit.
-func RunLimit(s *schema.Schema, p *plan.Node, tbl *table.Table, limit int) (rows []int, cost float64) {
-	if limit <= 0 {
-		return nil, 0
+	wrong := r.Mismatches
+	if r.Fault != nil {
+		wrong += r.Fault.FalsePositives + r.Fault.FalseNegatives
 	}
-	res := mustExecute(s, p, query.Query{}, Options{
-		Source: NewTableSource(tbl, 0), Limit: limit, SkipVerify: true,
-	})
-	return res.Rows, res.TotalCost
-}
-
-// CompareOnTest builds a convenience ratio table: for each plan, the mean
-// per-tuple cost over the test table. Used by the experiment harnesses.
-func CompareOnTest(s *schema.Schema, q query.Query, test *table.Table, plans map[string]*plan.Node) map[string]Result {
-	out := make(map[string]Result, len(plans))
-	for name, p := range plans {
-		out[name] = Run(s, p, q, test)
-	}
-	return out
+	return float64(n-wrong) / float64(n)
 }

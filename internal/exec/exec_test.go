@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,11 +37,25 @@ func testQuery(s *schema.Schema) query.Query {
 	)
 }
 
+// execute runs p over the whole of tbl (unless o names another source)
+// through Execute, failing the test on error.
+func execute(t *testing.T, s *schema.Schema, p *plan.Node, q query.Query, tbl *table.Table, o Options) Result {
+	t.Helper()
+	if o.Source == nil {
+		o.Source = NewTableSource(tbl, 0)
+	}
+	res, err := Execute(context.Background(), Request{Schema: s, Plan: p, Query: q, Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunMetersCosts(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
 	p := plan.NewSeq(q.Preds) // a then b
-	res := Run(s, p, q, testTable())
+	res := execute(t, s, p, q, testTable(), Options{})
 	if res.Tuples != 8 {
 		t.Fatalf("Tuples = %d", res.Tuples)
 	}
@@ -73,7 +88,7 @@ func TestRunDetectsMismatch(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
 	wrong := plan.NewLeaf(false)
-	res := Run(s, wrong, q, testTable())
+	res := execute(t, s, wrong, q, testTable(), Options{})
 	if res.Mismatches != 2 {
 		t.Errorf("Mismatches = %d, want 2", res.Mismatches)
 	}
@@ -82,7 +97,7 @@ func TestRunDetectsMismatch(t *testing.T) {
 func TestRunEmptyTable(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
-	res := Run(s, plan.NewSeq(q.Preds), q, table.New(s, 0))
+	res := execute(t, s, plan.NewSeq(q.Preds), q, table.New(s, 0), Options{})
 	if res.Tuples != 0 || res.MeanCost() != 0 || res.Selectivity() != 0 {
 		t.Errorf("empty table result = %+v", res)
 	}
@@ -92,18 +107,18 @@ func TestRunExists(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
 	p := plan.NewSeq(q.Preds)
-	found, idx, cost := RunExists(s, p, testTable())
-	if !found || idx != 0 {
-		t.Errorf("found=%v idx=%d, want true/0", found, idx)
+	exists := Options{Exists: true, SkipVerify: true}
+	res := execute(t, s, p, query.Query{}, testTable(), exists)
+	if !res.Found || res.FoundRow != 0 {
+		t.Errorf("found=%v idx=%d, want true/0", res.Found, res.FoundRow)
 	}
-	if cost != 15 { // first tuple satisfies immediately: a + b
-		t.Errorf("cost = %g, want 15", cost)
+	if res.TotalCost != 15 { // first tuple satisfies immediately: a + b
+		t.Errorf("cost = %g, want 15", res.TotalCost)
 	}
 	// No satisfying tuple.
-	never := plan.NewLeaf(false)
-	found, idx, _ = RunExists(s, never, testTable())
-	if found || idx != -1 {
-		t.Errorf("found=%v idx=%d, want false/-1", found, idx)
+	res = execute(t, s, plan.NewLeaf(false), query.Query{}, testTable(), exists)
+	if res.Found || res.FoundRow != -1 {
+		t.Errorf("found=%v idx=%d, want false/-1", res.Found, res.FoundRow)
 	}
 }
 
@@ -111,39 +126,20 @@ func TestRunLimit(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
 	p := plan.NewSeq(q.Preds)
-	rows, cost := RunLimit(s, p, testTable(), 1)
-	if len(rows) != 1 || rows[0] != 0 {
-		t.Errorf("rows = %v", rows)
+	res := execute(t, s, p, query.Query{}, testTable(), Options{Limit: 1, SkipVerify: true})
+	if len(res.Rows) != 1 || res.Rows[0] != 0 {
+		t.Errorf("rows = %v", res.Rows)
 	}
-	if cost != 15 {
-		t.Errorf("cost = %g", cost)
+	if res.TotalCost != 15 {
+		t.Errorf("cost = %g", res.TotalCost)
 	}
-	rows, _ = RunLimit(s, p, testTable(), 10) // more than available
-	if len(rows) != 2 {
-		t.Errorf("limit beyond matches: rows = %v", rows)
+	res = execute(t, s, p, query.Query{}, testTable(), Options{Limit: 10, SkipVerify: true}) // more than available
+	if len(res.Rows) != 2 || res.Tuples != 8 {
+		t.Errorf("limit beyond matches: rows = %v over %d tuples", res.Rows, res.Tuples)
 	}
-	rows, cost = RunLimit(s, p, testTable(), 0)
-	if rows != nil || cost != 0 {
-		t.Errorf("limit 0: rows=%v cost=%g", rows, cost)
-	}
-}
-
-func TestCompareOnTest(t *testing.T) {
-	s := testSchema()
-	q := testQuery(s)
-	plans := map[string]*plan.Node{
-		"ab": plan.NewSeq(q.Preds),
-		"ba": plan.NewSeq([]query.Pred{q.Preds[1], q.Preds[0]}),
-	}
-	res := CompareOnTest(s, q, testTable(), plans)
-	if len(res) != 2 {
-		t.Fatalf("results = %v", res)
-	}
-	// b-first: all 8 acquire b (5); 4 with b=1 acquire a (10).
-	if got := res["ba"].TotalCost; math.Abs(got-(8*5+4*10)) > 1e-12 {
-		t.Errorf("ba cost = %g", got)
-	}
-	if res["ab"].Mismatches != 0 || res["ba"].Mismatches != 0 {
-		t.Error("mismatches in correct plans")
+	// Limit 0 is no limit: every tuple runs and no rows are collected.
+	res = execute(t, s, p, query.Query{}, testTable(), Options{SkipVerify: true})
+	if res.Rows != nil || res.Tuples != 8 {
+		t.Errorf("limit 0: rows=%v tuples=%d", res.Rows, res.Tuples)
 	}
 }

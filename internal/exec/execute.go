@@ -15,9 +15,8 @@ import (
 // callers match it with errors.Is.
 var ErrInvalidRequest = errors.New("exec: invalid request")
 
-// Options composes the execution features that used to be separate
-// entry points. The zero value is a plain metered run over the whole
-// source, verified against ground truth.
+// Options composes the execution features. The zero value is a plain
+// metered run over the whole source, verified against ground truth.
 type Options struct {
 	// Source supplies the tuples. Required.
 	Source RowSource
@@ -45,8 +44,8 @@ type Options struct {
 	// not change it. Zero selects DefaultBatchSize.
 	BatchSize int
 	// SkipVerify disables the ground-truth check that counts
-	// Result.Mismatches — the existential and limit wrappers skip it, as
-	// their legacy counterparts did.
+	// Result.Mismatches, for callers that run a plan without its query
+	// (existential and limit probes).
 	SkipVerify bool
 }
 
@@ -60,25 +59,36 @@ type Request struct {
 }
 
 // FaultStats is the fault-path accounting attached to a Result when
-// Options.Faults is set. Field meanings match FaultResult.
+// Options.Faults is set.
 type FaultStats struct {
-	Failures       int
-	Retries        int
-	RetryCost      float64
-	StaleReads     int
-	Abstained      int
-	AbstainedTrue  int
-	Imputed        int
-	Replans        int
+	// Failures counts (tuple, attribute) acquisition failures after all
+	// retries.
+	Failures int
+	// Retries counts retry attempts performed.
+	Retries int
+	// RetryCost is the portion of TotalCost charged to retries, backoff
+	// waits, and timeout surcharges.
+	RetryCost float64
+	// StaleReads counts acquisitions satisfied by a stuck previous value.
+	StaleReads int
+	// Abstained counts tuples answered Unknown; AbstainedTrue is the
+	// subset whose ground truth was positive (answers lost to faults).
+	Abstained     int
+	AbstainedTrue int
+	// Imputed counts model-predicted attribute values.
+	Imputed int
+	// Replans counts tuples answered by a residual plan.
+	Replans int
+	// FalsePositives / FalseNegatives count fault-touched tuples answered
+	// wrongly (selected-but-false / rejected-but-true).
 	FalsePositives int
 	FalseNegatives int
 }
 
-// Execute runs one plan over one source with acquisition metering — the
-// single entry point behind the legacy Run* wrappers. Profiling, fault
-// injection, limits, and existential short-circuiting compose freely;
-// with none of them set it produces a Result bit-identical to the
-// historical Run.
+// Execute runs one plan over one source with acquisition metering.
+// Profiling, fault injection, limits, and existential short-circuiting
+// compose freely; with none of them set it produces a Result
+// bit-identical to the legacy tuple-at-a-time executor.
 //
 // Execution streams: the source is pulled one bounded batch at a time,
 // so sources larger than memory (and live stream windows) execute in
@@ -101,11 +111,10 @@ func Execute(ctx context.Context, req Request) (Result, error) {
 
 func validate(req Request) error {
 	o := req.Options
+	if err := validatePlan(req.Schema, req.Plan, req.Query); err != nil {
+		return err
+	}
 	switch {
-	case req.Schema == nil || req.Schema.NumAttrs() == 0:
-		return fmt.Errorf("%w: missing schema", ErrInvalidRequest)
-	case req.Plan == nil:
-		return fmt.Errorf("%w: missing plan", ErrInvalidRequest)
 	case o.Source == nil:
 		return fmt.Errorf("%w: missing source", ErrInvalidRequest)
 	case o.Source.NumAttrs() != req.Schema.NumAttrs():
@@ -124,6 +133,27 @@ func validate(req Request) error {
 	return nil
 }
 
+// validatePlan checks that the plan and the query's predicates only
+// reference attributes of the schema, so execution cannot index out of
+// range.
+func validatePlan(s *schema.Schema, p *plan.Node, q query.Query) error {
+	switch {
+	case s == nil || s.NumAttrs() == 0:
+		return fmt.Errorf("%w: missing schema", ErrInvalidRequest)
+	case p == nil:
+		return fmt.Errorf("%w: missing plan", ErrInvalidRequest)
+	}
+	if err := p.Validate(s); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	for _, pd := range q.Preds {
+		if pd.Attr < 0 || pd.Attr >= s.NumAttrs() {
+			return fmt.Errorf("%w: query predicate attribute %d out of range", ErrInvalidRequest, pd.Attr)
+		}
+	}
+	return nil
+}
+
 // interrupted wraps a context cancellation observed between batches.
 func interrupted(res Result, err error) (Result, error) {
 	return res, fmt.Errorf("exec: execution interrupted after %d tuples: %w", res.Tuples, err)
@@ -137,6 +167,7 @@ func executePristine(ctx context.Context, req Request, src RowSource) (Result, e
 	s, q, o := req.Schema, req.Query, req.Options
 	pg := compile(req.Plan)
 	prof := o.Profile
+	pg.prof = prof
 	res := Result{Acquisitions: make([]int64, s.NumAttrs())}
 	if o.Exists {
 		res.FoundRow = -1
@@ -155,17 +186,8 @@ func executePristine(ctx context.Context, req Request, src RowSource) (Result, e
 		}
 		cols := b.cols
 		for i := 0; i < n; i++ {
-			for j := range acquired {
-				acquired[j] = false
-			}
-			var got bool
-			var cost float64
-			if prof != nil {
-				got, cost = pg.runProfiled(s, cols, i, acquired, prof)
-				prof.FinishTuple()
-			} else {
-				got, cost = pg.run(s, cols, i, acquired)
-			}
+			got, cost := pg.run(s, cols, i, acquired)
+			prof.FinishTuple()
 			res.Tuples++
 			res.TotalCost += cost
 			if cost > res.MaxCost {
@@ -177,9 +199,12 @@ func executePristine(ctx context.Context, req Request, src RowSource) (Result, e
 			if !o.SkipVerify && got != evalCols(q, cols, i) {
 				res.Mismatches++
 			}
+			// Count and clear in one sweep: acquired is all false again
+			// before the next tuple.
 			for a, acq := range acquired {
 				if acq {
 					res.Acquisitions[a]++
+					acquired[a] = false
 				}
 			}
 			if got {
@@ -202,7 +227,7 @@ func executePristine(ctx context.Context, req Request, src RowSource) (Result, e
 // executeFaulty is the streaming loop under fault injection: one
 // TupleExecutor carries cross-tuple state (stale latches, learned-dead
 // sensors, residual-plan cache) across batches, and outcomes are folded
-// with the answered-only accounting of the legacy RunFaulty.
+// with answered-only accounting (see Result.Fault).
 func executeFaulty(ctx context.Context, req Request, src RowSource) (Result, error) {
 	s, q, o := req.Schema, req.Query, req.Options
 	cfg := *o.Faults
@@ -211,7 +236,8 @@ func executeFaulty(ctx context.Context, req Request, src RowSource) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Acquisitions: make([]int64, s.NumAttrs()), Fault: &FaultStats{}}
+	// ex is private to this run, so the Result can share its live counts.
+	res := Result{Acquisitions: ex.AcquisitionCounts(), Fault: &FaultStats{}}
 	fs := res.Fault
 	if o.Exists {
 		res.FoundRow = -1
@@ -219,16 +245,13 @@ func executeFaulty(ctx context.Context, req Request, src RowSource) (Result, err
 	var row []schema.Value
 	for {
 		if err := ctx.Err(); err != nil {
-			copy(res.Acquisitions, ex.AcquisitionCounts())
 			return interrupted(res, err)
 		}
 		b, n, err := src.Next()
 		if err != nil {
-			copy(res.Acquisitions, ex.AcquisitionCounts())
 			return res, err
 		}
 		if n == 0 {
-			copy(res.Acquisitions, ex.AcquisitionCounts())
 			return res, nil
 		}
 		for i := 0; i < n; i++ {
@@ -280,13 +303,11 @@ func executeFaulty(ctx context.Context, req Request, src RowSource) (Result, err
 				if o.Exists {
 					res.Found = true
 					res.FoundRow = b.RowIndex(i)
-					copy(res.Acquisitions, ex.AcquisitionCounts())
 					return res, nil
 				}
 				if o.Limit > 0 {
 					res.Rows = append(res.Rows, b.RowIndex(i))
 					if len(res.Rows) >= o.Limit {
-						copy(res.Acquisitions, ex.AcquisitionCounts())
 						return res, nil
 					}
 				}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acqp/internal/plan"
 	"acqp/internal/query"
 	"acqp/internal/schema"
+	"acqp/internal/table"
+	"acqp/internal/trace"
 )
 
 // synthRow fills dst with a deterministic pseudo-random binary tuple for
@@ -51,12 +54,7 @@ func TestExecuteStreamsLargerThanMemorySource(t *testing.T) {
 		emitted++
 		return true, nil
 	})
-	res, err := Execute(context.Background(), Request{
-		Schema: s, Plan: p, Query: q, Options: Options{Source: src},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := execute(t, s, p, q, nil, Options{Source: src})
 	if res.Tuples != rows {
 		t.Errorf("Tuples = %d, want %d", res.Tuples, rows)
 	}
@@ -87,13 +85,8 @@ func TestExecuteFuncSourceMatchesTable(t *testing.T) {
 		r++
 		return true, nil
 	})
-	got, err := Execute(context.Background(), Request{
-		Schema: s, Plan: p, Query: q, Options: Options{Source: src},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := Run(s, p, q, tbl); !reflect.DeepEqual(got, want) {
+	got := execute(t, s, p, q, nil, Options{Source: src})
+	if want := execute(t, s, p, q, tbl, Options{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("FuncSource result %+v != table result %+v", got, want)
 	}
 }
@@ -130,7 +123,7 @@ func TestExecuteCancellationMidRun(t *testing.T) {
 	if res.Tuples < cancelAt || res.Tuples >= rows {
 		t.Errorf("Tuples = %d, want a partial count in [%d,%d)", res.Tuples, cancelAt, rows)
 	}
-	if want := fmt.Sprintf("exec: execution interrupted after %d tuples", res.Tuples); !contains(err.Error(), want) {
+	if want := fmt.Sprintf("exec: execution interrupted after %d tuples", res.Tuples); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not report the partial tuple count", err)
 	}
 }
@@ -170,6 +163,8 @@ func TestExecuteValidation(t *testing.T) {
 	p := plan.NewSeq(q.Preds)
 	tbl := testTable()
 	src := NewTableSource(tbl, 0)
+	s2 := schema.New(schema.Attribute{Name: "x", K: 2, Cost: 1}, schema.Attribute{Name: "y", K: 2, Cost: 1})
+	src2 := NewTableSource(table.New(s2, 0), 0)
 	cases := []struct {
 		name string
 		req  Request
@@ -183,6 +178,12 @@ func TestExecuteValidation(t *testing.T) {
 			Options: Options{Source: src, Limit: -1}}},
 		{"order without random access", Request{Schema: s, Plan: p, Query: q,
 			Options: Options{Source: NewFuncSource(s.NumAttrs(), 0, func([]schema.Value) (bool, error) { return false, nil }), Order: []int{0}}}},
+		{"split attribute out of range", Request{Schema: s2, Options: Options{Source: src2},
+			Plan: plan.NewSplit(7, 1, plan.NewLeaf(false), plan.NewLeaf(true))}},
+		{"seq predicate out of range", Request{Schema: s2, Options: Options{Source: src2},
+			Plan: plan.NewSeq([]query.Pred{{Attr: 5, R: query.Range{Lo: 1, Hi: 1}}})}},
+		{"query predicate out of range", Request{Schema: s2, Plan: plan.NewLeaf(true), Options: Options{Source: src2},
+			Query: query.Query{Preds: []query.Pred{{Attr: 9, R: query.Range{Lo: 1, Hi: 1}}}}}},
 	}
 	for _, tc := range cases {
 		if _, err := Execute(context.Background(), tc.req); !errors.Is(err, ErrInvalidRequest) {
@@ -199,26 +200,33 @@ func TestExecuteOrderedVisitsInOrder(t *testing.T) {
 	tbl := testTable()
 	// Row 4 ({1,1,1}) satisfies; visiting it first must make it the
 	// existential witness even though row 0 also satisfies.
-	res, err := Execute(context.Background(), Request{
-		Schema: s, Plan: p, Query: query.Query{},
-		Options: Options{
-			Source: NewTableSource(tbl, 0), Exists: true, SkipVerify: true,
-			Order: []int{4, 0, 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := execute(t, s, p, query.Query{}, tbl, Options{Exists: true, SkipVerify: true, Order: []int{4, 0, 1}})
 	if !res.Found || res.FoundRow != 4 {
 		t.Errorf("Found=%v FoundRow=%d, want witness row 4", res.Found, res.FoundRow)
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+// TestExecuteAllocs gates the executor's allocations per run over a
+// 4,096-row TableSource, plain and profiled: compiling the plan and the
+// per-run accounting allocate a fixed handful, independent of the row
+// count. The bound is 1.2x the measured 5, both plain and profiled.
+func TestExecuteAllocs(t *testing.T) {
+	if trace.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; ci.sh runs this gate without -race")
+	}
+	s := testSchema()
+	q := testQuery(s)
+	p := plan.NewSplit(0, 1, plan.NewSeq(q.Preds), plan.NewSeq([]query.Pred{q.Preds[1], q.Preds[0]}))
+	tbl := table.New(s, 4096)
+	row := make([]schema.Value, s.NumAttrs())
+	for r := 0; r < 4096; r++ {
+		synthRow(row, r)
+		tbl.MustAppendRow(row)
+	}
+	for _, prof := range []*trace.ExecProfile{nil, trace.NewExecProfile(len(p.Preorder()), s.NumAttrs())} {
+		allocs := testing.AllocsPerRun(20, func() { execute(t, s, p, q, tbl, Options{Profile: prof}) })
+		if allocs > 6 {
+			t.Errorf("Execute (profiled=%v) allocates %.0f/run, gate is 6", prof != nil, allocs)
 		}
 	}
-	return false
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"sort"
 
-	"acqp/internal/plan"
 	"acqp/internal/query"
 	"acqp/internal/schema"
 	"acqp/internal/stats"
@@ -19,8 +18,8 @@ import (
 // order sorted by descending likelihood together with the total cost of
 // the cheap acquisitions.
 //
-// Feeding the order to RunExistsOrdered makes the expensive probing visit
-// the most promising candidates first.
+// Executing with the order as Options.Order (and Options.Exists) makes
+// the expensive probing visit the most promising candidates first.
 func RankByCheapEvidence(d stats.Dist, q query.Query, tbl *table.Table, cheapThreshold float64) (order []int, evidenceCost float64) {
 	s := d.Schema()
 	cheap := s.CheapAttrs(cheapThreshold)
@@ -54,16 +53,4 @@ func RankByCheapEvidence(d stats.Dist, q query.Query, tbl *table.Table, cheapThr
 		order[i] = sc.row
 	}
 	return order, evidenceCost
-}
-
-// RunExistsOrdered is RunExists visiting rows in the given order: it
-// returns whether a satisfying tuple exists, its row index in the
-// original table (-1 if none), and the acquisition cost spent probing.
-//
-// Deprecated: use Execute with Options.Exists and Options.Order.
-func RunExistsOrdered(s *schema.Schema, p *plan.Node, tbl *table.Table, order []int) (found bool, rowIdx int, cost float64) {
-	res := mustExecute(s, p, query.Query{}, Options{
-		Source: NewTableSource(tbl, 0), Exists: true, SkipVerify: true, Order: order,
-	})
-	return res.Found, res.FoundRow, res.TotalCost
 }

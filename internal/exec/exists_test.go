@@ -18,22 +18,16 @@ func existsWorld(t *testing.T) (*schema.Schema, *table.Table, *table.Table, quer
 		schema.Attribute{Name: "beacon", K: 4, Cost: 1},
 		schema.Attribute{Name: "sensor", K: 4, Cost: 100},
 	)
-	rng := rand.New(rand.NewSource(8))
-	gen := func(n int, seed int64) *table.Table {
-		r := rand.New(rand.NewSource(seed))
-		tbl := table.New(s, n)
-		for i := 0; i < n; i++ {
-			b := r.Intn(4)
-			v := b
-			if r.Float64() < 0.15 {
-				v = r.Intn(4)
-			}
-			tbl.MustAppendRow([]schema.Value{schema.Value(b), schema.Value(v)})
+	r := rand.New(rand.NewSource(1))
+	hist := table.New(s, 3000)
+	for i := 0; i < 3000; i++ {
+		b := r.Intn(4)
+		v := b
+		if r.Float64() < 0.15 {
+			v = r.Intn(4)
 		}
-		return tbl
+		hist.MustAppendRow([]schema.Value{schema.Value(b), schema.Value(v)})
 	}
-	_ = rng
-	hist := gen(3000, 1)
 	// Candidate set: mostly non-matching tuples first, matches late.
 	candidates := table.New(s, 40)
 	for i := 0; i < 36; i++ {
@@ -47,7 +41,7 @@ func existsWorld(t *testing.T) (*schema.Schema, *table.Table, *table.Table, quer
 }
 
 func TestRankByCheapEvidenceOrdersLikelyFirst(t *testing.T) {
-	s, hist, candidates, q := existsWorld(t)
+	_, hist, candidates, q := existsWorld(t)
 	d := stats.NewEmpirical(hist)
 	order, evidenceCost := RankByCheapEvidence(d, q, candidates, 1)
 	if len(order) != candidates.NumRows() {
@@ -63,7 +57,6 @@ func TestRankByCheapEvidenceOrdersLikelyFirst(t *testing.T) {
 			t.Fatalf("order[%d] = %d; beacon=3 rows not ranked first: %v", i, order[i], order[:6])
 		}
 	}
-	_ = s
 }
 
 func TestOrderedExistsBeatsNaturalOrder(t *testing.T) {
@@ -71,17 +64,18 @@ func TestOrderedExistsBeatsNaturalOrder(t *testing.T) {
 	d := stats.NewEmpirical(hist)
 	p := plan.NewSeq(q.Preds)
 
-	_, _, naturalCost := RunExists(s, p, candidates)
+	exists := Options{Exists: true, SkipVerify: true}
+	naturalCost := execute(t, s, p, query.Query{}, candidates, exists).TotalCost
 	order, evidenceCost := RankByCheapEvidence(d, q, candidates, 1)
-	found, rowIdx, orderedCost := RunExistsOrdered(s, p, candidates, order)
-	if !found || rowIdx < 36 {
-		t.Fatalf("ordered exists found=%v row=%d", found, rowIdx)
+	exists.Order = order
+	res := execute(t, s, p, query.Query{}, candidates, exists)
+	if !res.Found || res.FoundRow < 36 {
+		t.Fatalf("ordered exists found=%v row=%d", res.Found, res.FoundRow)
 	}
 	// Natural order probes 37 tuples at 100 each; ordered probes 1 plus
 	// 40 cheap beacons.
-	if orderedCost+evidenceCost >= naturalCost {
-		t.Errorf("ordered total %g not below natural %g",
-			orderedCost+evidenceCost, naturalCost)
+	if res.TotalCost+evidenceCost >= naturalCost {
+		t.Errorf("ordered total %g not below natural %g", res.TotalCost+evidenceCost, naturalCost)
 	}
 }
 
@@ -92,8 +86,8 @@ func TestRunExistsOrderedNoMatch(t *testing.T) {
 	for i := range order {
 		order[i] = candidates.NumRows() - 1 - i // reverse order
 	}
-	found, idx, cost := RunExistsOrdered(s, never, candidates, order)
-	if found || idx != -1 || cost != 0 {
-		t.Errorf("found=%v idx=%d cost=%g", found, idx, cost)
+	res := execute(t, s, never, query.Query{}, candidates, Options{Exists: true, SkipVerify: true, Order: order})
+	if res.Found || res.FoundRow != -1 || res.TotalCost != 0 {
+		t.Errorf("found=%v idx=%d cost=%g", res.Found, res.FoundRow, res.TotalCost)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 
 	"acqp/internal/fault"
@@ -9,7 +8,6 @@ import (
 	"acqp/internal/query"
 	"acqp/internal/schema"
 	"acqp/internal/stats"
-	"acqp/internal/table"
 	"acqp/internal/trace"
 )
 
@@ -121,21 +119,23 @@ type TupleOutcome struct {
 // and the residual-plan cache — so callers that stream tuples (the
 // sensornet motes) create one per logical node and feed it rows in order.
 //
-// With an inactive (or nil) injector the traversal performs exactly the
-// same sequence of cost additions as plan.Node.Execute, so results are
-// byte-identical to the fault-free path.
+// The plan is compiled once, like the fault-free path's, and walked by
+// instruction index; with an inactive (or nil) injector the traversal
+// performs exactly the same sequence of cost additions as
+// plan.Node.Execute, so results are byte-identical to the fault-free
+// path.
 type TupleExecutor struct {
 	s   *schema.Schema
-	p   *plan.Node
+	pg  *program
 	q   query.Query
 	cfg FaultConfig
 
 	// Cross-tuple state.
 	stale     []schema.Value // last successfully latched reading
 	haveStale []bool
-	deadKnown []bool // sensor observed dead; later tuples skip it at zero cost
-	replans   map[string]*plan.Node
-	acq       []int64 // per-attribute tuples-that-paid counts
+	deadKnown []bool              // sensor observed dead; later tuples skip it at zero cost
+	replans   map[string]*program // compiled residual plans by failed set
+	acq       []int64             // per-attribute tuples-that-paid counts
 
 	// Per-tuple scratch.
 	paid    []bool // cost charged (board powered) this tuple
@@ -143,14 +143,14 @@ type TupleExecutor struct {
 	failed  []bool // acquisition ultimately failed this tuple
 	imputed []bool
 	vals    []schema.Value
-
-	// Profiling (nil when cfg.Profile is nil).
-	ids map[*plan.Node]int
 }
 
-// NewTupleExecutor validates the configuration and builds an executor for
-// the plan.
+// NewTupleExecutor validates the plan, query, and configuration and
+// builds an executor for the plan.
 func NewTupleExecutor(s *schema.Schema, p *plan.Node, q query.Query, cfg FaultConfig) (*TupleExecutor, error) {
+	if err := validatePlan(s, p, q); err != nil {
+		return nil, err
+	}
 	switch cfg.Policy {
 	case Abstain, Replan:
 	case Impute:
@@ -168,29 +168,13 @@ func NewTupleExecutor(s *schema.Schema, p *plan.Node, q query.Query, cfg FaultCo
 	}
 	n := s.NumAttrs()
 	ex := &TupleExecutor{
-		s: s, p: p, q: q, cfg: cfg,
+		s: s, pg: compile(p), q: q, cfg: cfg,
 		stale: make([]schema.Value, n), haveStale: make([]bool, n),
 		deadKnown: make([]bool, n), acq: make([]int64, n),
 		paid: make([]bool, n), known: make([]bool, n), failed: make([]bool, n),
 		imputed: make([]bool, n), vals: make([]schema.Value, n),
 	}
-	if cfg.Profile != nil {
-		ex.ids = plan.NodeIDs(p)
-	}
 	return ex, nil
-}
-
-// nodeID returns the profiled plan's pre-order ID for n, or -1 when
-// profiling is off or n is not in the profiled plan (replanned residual
-// nodes).
-func (e *TupleExecutor) nodeID(n *plan.Node) int {
-	if e.cfg.Profile == nil {
-		return -1
-	}
-	if id, ok := e.ids[n]; ok {
-		return id
-	}
-	return -1
 }
 
 // AcquisitionCounts returns the live per-attribute counts of tuples that
@@ -209,7 +193,7 @@ func (e *TupleExecutor) ExecTuple(rowIdx int, row []schema.Value) TupleOutcome {
 		e.imputed[i] = false
 	}
 	var out TupleOutcome
-	out.Answer = e.execPlan(e.p, rowIdx, row, &out, 0)
+	out.Answer = e.execPlan(e.pg, rowIdx, row, &out, 0)
 	for a, p := range e.paid {
 		if p {
 			e.acq[a]++
@@ -218,31 +202,38 @@ func (e *TupleExecutor) ExecTuple(rowIdx int, row []schema.Value) TupleOutcome {
 	return out
 }
 
-// execPlan traverses one plan, consulting the fallback policy on
-// acquisition failure. depth bounds replan recursion.
-func (e *TupleExecutor) execPlan(p *plan.Node, rowIdx int, row []schema.Value, out *TupleOutcome, depth int) query.Truth {
-	cur := p
+// execPlan walks one compiled plan by instruction index, consulting the
+// fallback policy on acquisition failure. The instruction index is the
+// profile node ID; a residual program's nodes are not in the profiled
+// plan and are charged to node -1. depth bounds replan recursion.
+func (e *TupleExecutor) execPlan(pg *program, rowIdx int, row []schema.Value, out *TupleOutcome, depth int) query.Truth {
+	id := int32(0)
 	for {
-		id := e.nodeID(cur)
-		e.cfg.Profile.Visit(id)
-		switch cur.Kind {
+		op := &pg.ops[id]
+		nodeID := -1
+		if pg == e.pg {
+			nodeID = int(id)
+		}
+		e.cfg.Profile.Visit(nodeID)
+		switch op.kind {
 		case plan.Leaf:
-			if cur.Result {
+			if op.result {
 				return query.True
 			}
 			return query.False
 		case plan.Split:
-			if !e.ensure(rowIdx, cur.Attr, row, out, id) {
+			a := int(op.attr)
+			if !e.ensure(rowIdx, a, row, out, nodeID) {
 				return e.fallback(rowIdx, row, out, depth)
 			}
-			if e.vals[cur.Attr] >= cur.X {
-				cur = cur.Right
+			if e.vals[a] >= op.x {
+				id = op.right
 			} else {
-				cur = cur.Left
+				id = op.left
 			}
-		case plan.Seq:
-			for _, pd := range cur.Preds {
-				if !e.ensure(rowIdx, pd.Attr, row, out, id) {
+		default: // plan.Seq
+			for _, pd := range op.preds {
+				if !e.ensure(rowIdx, pd.Attr, row, out, nodeID) {
 					return e.fallback(rowIdx, row, out, depth)
 				}
 				if !pd.Eval(e.vals[pd.Attr]) {
@@ -250,8 +241,6 @@ func (e *TupleExecutor) execPlan(p *plan.Node, rowIdx int, row []schema.Value, o
 				}
 			}
 			return query.True
-		default:
-			panic(fmt.Sprintf("exec: invalid node kind %d", cur.Kind))
 		}
 	}
 }
@@ -376,18 +365,19 @@ func (e *TupleExecutor) fallback(rowIdx int, row []schema.Value, out *TupleOutco
 		return query.Unknown
 	}
 	rp, err := e.residualPlan(out)
-	if err != nil || rp == nil {
+	if err != nil {
 		return query.Unknown
 	}
 	out.Replanned = true
 	return e.execPlan(rp, rowIdx, row, out, depth+1)
 }
 
-// residualPlan returns (building and caching on first use) the plan for
-// the query minus the predicates on currently failed attributes. Dropping
-// a predicate-bearing attribute optimistically treats that predicate as
-// satisfied, which marks the tuple as fault-touched.
-func (e *TupleExecutor) residualPlan(out *TupleOutcome) (*plan.Node, error) {
+// residualPlan returns (building, compiling, and caching on first use)
+// the plan for the query minus the predicates on currently failed
+// attributes. Dropping a predicate-bearing attribute optimistically
+// treats that predicate as satisfied, which marks the tuple as
+// fault-touched.
+func (e *TupleExecutor) residualPlan(out *TupleOutcome) (*program, error) {
 	key := make([]byte, (len(e.failed)+7)/8)
 	for a, f := range e.failed {
 		if f {
@@ -413,8 +403,12 @@ func (e *TupleExecutor) residualPlan(out *TupleOutcome) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A residual plan that still touches a failed attribute would fail
-		// again immediately; fall back to the always-safe sequential plan.
+		// A residual plan that is invalid or still touches a failed
+		// attribute would fail again immediately; fall back to the
+		// always-safe sequential plan.
+		if rp != nil && rp.Validate(e.s) != nil {
+			rp = nil
+		}
 		if rp != nil {
 			for a, used := range rp.Attrs(e.s.NumAttrs()) {
 				if used && e.failed[a] {
@@ -428,73 +422,9 @@ func (e *TupleExecutor) residualPlan(out *TupleOutcome) (*plan.Node, error) {
 		rp = plan.NewSeq(residual)
 	}
 	if e.replans == nil {
-		e.replans = make(map[string]*plan.Node)
+		e.replans = make(map[string]*program)
 	}
-	e.replans[string(key)] = rp
-	return rp, nil
-}
-
-// FaultResult extends Result with fault-path accounting. The embedded
-// Result fields keep their meanings, with two refinements: Selected and
-// Mismatches consider only answered (non-abstained) tuples, and
-// Mismatches counts only wrong answers on tuples no fault touched —
-// fault-induced errors are classed as FalsePositives/FalseNegatives.
-type FaultResult struct {
-	Result
-	// Failures counts (tuple, attribute) acquisition failures after all
-	// retries.
-	Failures int
-	// Retries counts retry attempts performed.
-	Retries int
-	// RetryCost is the portion of TotalCost charged to retries, backoff
-	// waits, and timeout surcharges.
-	RetryCost float64
-	// StaleReads counts acquisitions satisfied by a stuck previous value.
-	StaleReads int
-	// Abstained counts tuples answered Unknown; AbstainedTrue is the
-	// subset whose ground truth was positive (answers lost to faults).
-	Abstained     int
-	AbstainedTrue int
-	// Imputed counts model-predicted attribute values.
-	Imputed int
-	// Replans counts tuples answered by a residual plan.
-	Replans int
-	// FalsePositives / FalseNegatives count fault-touched tuples answered
-	// wrongly (selected-but-false / rejected-but-true).
-	FalsePositives int
-	FalseNegatives int
-}
-
-// Answered returns the number of tuples that received a definite answer.
-func (r FaultResult) Answered() int { return r.Tuples - r.Abstained }
-
-// Accuracy returns the fraction of answered tuples answered correctly.
-func (r FaultResult) Accuracy() float64 {
-	n := r.Answered()
-	if n == 0 {
-		return 1
-	}
-	return float64(n-r.Mismatches-r.FalsePositives-r.FalseNegatives) / float64(n)
-}
-
-func (r FaultResult) String() string {
-	return fmt.Sprintf("%s failures=%d retries=%d retry-cost=%.3f abstained=%d imputed=%d replans=%d fp=%d fn=%d",
-		r.Result.String(), r.Failures, r.Retries, r.RetryCost, r.Abstained, r.Imputed, r.Replans, r.FalsePositives, r.FalseNegatives)
-}
-
-// RunFaulty executes the plan over every tuple of the table under fault
-// injection, verifying answered tuples against ground truth. With an
-// inactive injector the embedded Result is byte-identical to Run's.
-//
-// Deprecated: use Execute with Options.Faults.
-func RunFaulty(s *schema.Schema, p *plan.Node, q query.Query, tbl *table.Table, cfg FaultConfig) (FaultResult, error) {
-	//acqlint:ignore ctxbg legacy wrapper with no ctx parameter; Execute is the context-threading API
-	res, err := Execute(context.Background(), Request{
-		Schema: s, Plan: p, Query: q,
-		Options: Options{Source: NewTableSource(tbl, 0), Faults: &cfg, Profile: cfg.Profile},
-	})
-	if err != nil {
-		return FaultResult{}, err
-	}
-	return res.AsFaultResult(), nil
+	pg := compile(rp)
+	e.replans[string(key)] = pg
+	return pg, nil
 }

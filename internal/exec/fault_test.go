@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -69,6 +71,14 @@ func corrPlan(q query.Query) *plan.Node {
 	return plan.NewSplit(0, 2, plan.NewSeq(q.Preds), plan.NewSeq(q.Preds))
 }
 
+// corrWorld bundles the correlated world: schema, query, plan, test
+// table, and the training joint as an impute model.
+func corrWorld() (*schema.Schema, query.Query, *plan.Node, *table.Table, stats.Dist) {
+	s := corrSchema()
+	q := corrQuery(s)
+	return s, q, corrPlan(q), corrTest(s), stats.NewEmpirical(corrTrain(s))
+}
+
 func TestRunFaultyZeroFaultEquivalence(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
@@ -77,20 +87,17 @@ func TestRunFaultyZeroFaultEquivalence(t *testing.T) {
 		"split": plan.NewSplit(2, 1, plan.NewLeaf(false), plan.NewSeq(q.Preds)),
 	}
 	for name, p := range plans {
-		base := Run(s, p, q, testTable())
+		base := execute(t, s, p, q, testTable(), Options{})
 		for _, policy := range []FallbackPolicy{Abstain, Replan} {
 			for _, inj := range []*fault.Injector{nil, fault.NewInjector(s.NumAttrs(), 7)} {
-				res, err := RunFaulty(s, p, q, testTable(), FaultConfig{
+				res := execute(t, s, p, q, testTable(), Options{Faults: &FaultConfig{
 					Injector: inj, Retrier: fault.DefaultRetrier(), Policy: policy,
-				})
-				if err != nil {
-					t.Fatalf("%s/%v: %v", name, policy, err)
+				}})
+				if *res.Fault != (FaultStats{}) {
+					t.Errorf("%s/%v: fault counters nonzero without faults: %+v", name, policy, *res.Fault)
 				}
-				if !reflect.DeepEqual(res.Result, base) {
-					t.Errorf("%s/%v: fault-free RunFaulty differs from Run:\n got %+v\nwant %+v", name, policy, res.Result, base)
-				}
-				if res.Failures != 0 || res.Retries != 0 || res.RetryCost != 0 || res.Abstained != 0 || res.Imputed != 0 || res.Replans != 0 {
-					t.Errorf("%s/%v: fault counters nonzero without faults: %+v", name, policy, res)
+				if res.Fault = nil; !reflect.DeepEqual(res, base) {
+					t.Errorf("%s/%v: fault-free run differs from the pristine one:\n got %+v\nwant %+v", name, policy, res, base)
 				}
 			}
 		}
@@ -98,12 +105,7 @@ func TestRunFaultyZeroFaultEquivalence(t *testing.T) {
 }
 
 func TestRunFaultyFallbackPolicies(t *testing.T) {
-	s := corrSchema()
-	q := corrQuery(s)
-	p := corrPlan(q)
-	tbl := corrTest(s)
-	model := stats.NewEmpirical(corrTrain(s))
-
+	s, q, p, tbl, model := corrWorld()
 	mkInjector := func() *fault.Injector {
 		inj := fault.NewInjector(s.NumAttrs(), 1)
 		if err := inj.SetAttr(1, fault.AttrFault{Dead: true}); err != nil {
@@ -111,82 +113,41 @@ func TestRunFaultyFallbackPolicies(t *testing.T) {
 		}
 		return inj
 	}
-
+	// Every tuple hits the dead attribute B exactly once. Fault damage is
+	// classed as FP/FN, never as Mismatches: the 4 noise rows (A=3, B=0)
+	// are false positives once B is imputed from A or its predicate is
+	// dropped by the replan.
 	cases := []struct {
-		name           string
-		cfg            FaultConfig
-		wantAnswered   int
-		wantAbstained  int
-		wantAbsTrue    int
-		wantSelected   int
-		wantImputed    int
-		wantReplans    int
-		wantFP, wantFN int
-		minAccuracy    float64
+		name         string
+		cfg          FaultConfig
+		want         FaultStats
+		wantSelected int
+		minAccuracy  float64
 	}{
-		{
-			name:          "abstain",
-			cfg:           FaultConfig{Injector: mkInjector(), Policy: Abstain},
-			wantAnswered:  0,
-			wantAbstained: 36,
-			wantAbsTrue:   16,
-			minAccuracy:   1, // vacuous: nothing answered, nothing wrong
-		},
-		{
-			name:         "impute",
-			cfg:          FaultConfig{Injector: mkInjector(), Policy: Impute, Model: model},
-			wantAnswered: 36,
-			wantSelected: 20,
-			wantImputed:  36,
-			wantFP:       4, // noise rows: A=3 imputes B=3, truth has B=0
-			minAccuracy:  32.0 / 36,
-		},
-		{
-			name:         "replan",
-			cfg:          FaultConfig{Injector: mkInjector(), Policy: Replan},
-			wantAnswered: 36,
-			wantSelected: 20,
-			wantReplans:  36,
-			wantFP:       4, // dropped B predicate optimistically satisfied
-			minAccuracy:  32.0 / 36,
-		},
+		{"abstain", FaultConfig{Injector: mkInjector(), Policy: Abstain},
+			FaultStats{Failures: 36, Abstained: 36, AbstainedTrue: 16}, 0, 1}, // vacuous: nothing answered
+		{"impute", FaultConfig{Injector: mkInjector(), Policy: Impute, Model: model},
+			FaultStats{Failures: 36, Imputed: 36, FalsePositives: 4}, 20, 32.0 / 36},
+		{"replan", FaultConfig{Injector: mkInjector(), Policy: Replan},
+			FaultStats{Failures: 36, Replans: 36, FalsePositives: 4}, 20, 32.0 / 36},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunFaulty(s, p, q, tbl, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := execute(t, s, p, q, tbl, Options{Faults: &tc.cfg})
 			if res.Tuples != 36 {
 				t.Fatalf("Tuples = %d", res.Tuples)
 			}
-			if got := res.Answered(); got != tc.wantAnswered {
-				t.Errorf("Answered = %d, want %d", got, tc.wantAnswered)
+			if *res.Fault != tc.want {
+				t.Errorf("fault stats:\n got %+v\nwant %+v", *res.Fault, tc.want)
 			}
-			if res.Abstained != tc.wantAbstained || res.AbstainedTrue != tc.wantAbsTrue {
-				t.Errorf("Abstained = %d/%d true, want %d/%d", res.Abstained, res.AbstainedTrue, tc.wantAbstained, tc.wantAbsTrue)
+			if got, want := res.Answered(), 36-tc.want.Abstained; got != want {
+				t.Errorf("Answered = %d, want %d", got, want)
 			}
-			if res.Selected != tc.wantSelected {
-				t.Errorf("Selected = %d, want %d", res.Selected, tc.wantSelected)
-			}
-			if res.Imputed != tc.wantImputed {
-				t.Errorf("Imputed = %d, want %d", res.Imputed, tc.wantImputed)
-			}
-			if res.Replans != tc.wantReplans {
-				t.Errorf("Replans = %d, want %d", res.Replans, tc.wantReplans)
-			}
-			if res.FalsePositives != tc.wantFP || res.FalseNegatives != tc.wantFN {
-				t.Errorf("FP/FN = %d/%d, want %d/%d", res.FalsePositives, res.FalseNegatives, tc.wantFP, tc.wantFN)
-			}
-			if res.Mismatches != 0 {
-				t.Errorf("Mismatches = %d; fault damage must be classed as FP/FN", res.Mismatches)
+			if res.Selected != tc.wantSelected || res.Mismatches != 0 {
+				t.Errorf("Selected/Mismatches = %d/%d, want %d/0", res.Selected, res.Mismatches, tc.wantSelected)
 			}
 			if acc := res.Accuracy(); acc < tc.minAccuracy {
 				t.Errorf("Accuracy = %.4f, want >= %.4f", acc, tc.minAccuracy)
-			}
-			// Every tuple hits the dead attribute exactly once.
-			if res.Failures != 36 {
-				t.Errorf("Failures = %d, want 36", res.Failures)
 			}
 			// The dead board is only powered once, on the first tuple; the
 			// executor learns the sensor is dead and stops paying for it.
@@ -200,11 +161,7 @@ func TestRunFaultyFallbackPolicies(t *testing.T) {
 func TestRunFaultyImputeVsAbstainAnswersMore(t *testing.T) {
 	// The acceptance invariant: under failures, Impute and Replan answer
 	// strictly more tuples than Abstain at bounded extra cost.
-	s := corrSchema()
-	q := corrQuery(s)
-	p := corrPlan(q)
-	tbl := corrTest(s)
-	model := stats.NewEmpirical(corrTrain(s))
+	s, q, p, tbl, model := corrWorld()
 	mk := func() *fault.Injector {
 		inj := fault.NewInjector(s.NumAttrs(), 3)
 		if err := inj.SetAttr(1, fault.AttrFault{PTransient: 0.5}); err != nil {
@@ -213,19 +170,10 @@ func TestRunFaultyImputeVsAbstainAnswersMore(t *testing.T) {
 		return inj
 	}
 	ret := fault.DefaultRetrier()
-	abstain, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: mk(), Retrier: ret, Policy: Abstain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	impute, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: mk(), Retrier: ret, Policy: Impute, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replan, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: mk(), Retrier: ret, Policy: Replan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if abstain.Abstained == 0 {
+	abstain := execute(t, s, p, q, tbl, Options{Faults: &FaultConfig{Injector: mk(), Retrier: ret, Policy: Abstain}})
+	impute := execute(t, s, p, q, tbl, Options{Faults: &FaultConfig{Injector: mk(), Retrier: ret, Policy: Impute, Model: model}})
+	replan := execute(t, s, p, q, tbl, Options{Faults: &FaultConfig{Injector: mk(), Retrier: ret, Policy: Replan}})
+	if abstain.Fault.Abstained == 0 {
 		t.Fatal("expected some ultimate failures at PTransient=0.5 with 2 retries")
 	}
 	if impute.Answered() <= abstain.Answered() || replan.Answered() <= abstain.Answered() {
@@ -234,7 +182,7 @@ func TestRunFaultyImputeVsAbstainAnswersMore(t *testing.T) {
 	}
 	// Same injector and retrier: identical retry behaviour, so the extra
 	// cost of answering more is bounded by the residual work.
-	for name, r := range map[string]FaultResult{"impute": impute, "replan": replan} {
+	for name, r := range map[string]Result{"impute": impute, "replan": replan} {
 		if r.TotalCost < abstain.TotalCost {
 			t.Errorf("%s TotalCost %.1f < abstain %.1f: answering more cannot cost less here", name, r.TotalCost, abstain.TotalCost)
 		}
@@ -245,8 +193,8 @@ func TestRunFaultyImputeVsAbstainAnswersMore(t *testing.T) {
 }
 
 // TestRunFaultyExactAccounting replays the injector and retrier decision-
-// by-decision and checks RunFaulty's cost and counter accounting to the
-// last bit.
+// by-decision and checks the fault path's cost and counter accounting to
+// the last bit.
 func TestRunFaultyExactAccounting(t *testing.T) {
 	s := schema.New(
 		schema.Attribute{Name: "x", K: 4, Cost: 7},
@@ -270,13 +218,12 @@ func TestRunFaultyExactAccounting(t *testing.T) {
 	}
 	ret := fault.Retrier{MaxRetries: 2, BackoffBase: 1.5, BackoffMult: 2, BackoffCap: 5, Jitter: 0.5, TimeoutCostFactor: 2}
 
-	res, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: inj, Retrier: ret, Policy: Abstain})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := execute(t, s, p, q, tbl, Options{Faults: &FaultConfig{Injector: inj, Retrier: ret, Policy: Abstain}})
+	got := res.Fault
 
 	// Independent replay of the executor's charging contract.
-	var want FaultResult
+	var want Result
+	wantF := &FaultStats{}
 	stale := make([]schema.Value, 2)
 	haveStale := make([]bool, 2)
 	var row []schema.Value
@@ -304,7 +251,7 @@ func TestRunFaultyExactAccounting(t *testing.T) {
 				if o == fault.Stale {
 					if haveStale[a] {
 						val = stale[a]
-						want.StaleReads++
+						wantF.StaleReads++
 						if val != row[a] {
 							touched = true
 						}
@@ -320,14 +267,14 @@ func TestRunFaultyExactAccounting(t *testing.T) {
 					retryCost += surch
 				}
 				if attempt >= ret.MaxRetries {
-					want.Failures++
+					wantF.Failures++
 					answer = query.Unknown
 					break preds
 				}
 				b := ret.Backoff(attempt+1, inj.JitterU(r, a, attempt+1))
 				cost += b
 				retryCost += b
-				want.Retries++
+				wantF.Retries++
 			}
 			if !pd.Eval(val) {
 				answer = query.False
@@ -339,72 +286,55 @@ func TestRunFaultyExactAccounting(t *testing.T) {
 		if cost > want.MaxCost {
 			want.MaxCost = cost
 		}
-		want.RetryCost += retryCost
+		wantF.RetryCost += retryCost
 		truth := q.Eval(row)
 		switch answer {
 		case query.Unknown:
-			want.Abstained++
+			wantF.Abstained++
 			if truth {
-				want.AbstainedTrue++
+				wantF.AbstainedTrue++
 			}
 		case query.True:
 			want.Selected++
 			if !truth && touched {
-				want.FalsePositives++
+				wantF.FalsePositives++
 			}
 		default:
 			if truth && touched {
-				want.FalseNegatives++
+				wantF.FalseNegatives++
 			}
 		}
 	}
 
-	if res.TotalCost != want.TotalCost || res.RetryCost != want.RetryCost || res.MaxCost != want.MaxCost {
-		t.Errorf("cost accounting: got total=%v retry=%v max=%v, want total=%v retry=%v max=%v",
-			res.TotalCost, res.RetryCost, res.MaxCost, want.TotalCost, want.RetryCost, want.MaxCost)
+	if *got != *wantF {
+		t.Errorf("fault accounting:\n got %+v\nwant %+v", *got, *wantF)
 	}
-	if res.Retries != want.Retries || res.Failures != want.Failures || res.StaleReads != want.StaleReads {
-		t.Errorf("counters: got retries=%d failures=%d stale=%d, want %d/%d/%d",
-			res.Retries, res.Failures, res.StaleReads, want.Retries, want.Failures, want.StaleReads)
+	if res.TotalCost != want.TotalCost || res.MaxCost != want.MaxCost || res.Selected != want.Selected || res.Mismatches != 0 {
+		t.Errorf("got total=%v max=%v selected=%d mismatches=%d, want %v/%v/%d/0",
+			res.TotalCost, res.MaxCost, res.Selected, res.Mismatches, want.TotalCost, want.MaxCost, want.Selected)
 	}
-	if res.Selected != want.Selected || res.Abstained != want.Abstained || res.AbstainedTrue != want.AbstainedTrue {
-		t.Errorf("answers: got selected=%d abstained=%d/%d, want %d/%d/%d",
-			res.Selected, res.Abstained, res.AbstainedTrue, want.Selected, want.Abstained, want.AbstainedTrue)
-	}
-	if res.FalsePositives != want.FalsePositives || res.FalseNegatives != want.FalseNegatives {
-		t.Errorf("FP/FN: got %d/%d, want %d/%d", res.FalsePositives, res.FalseNegatives, want.FalsePositives, want.FalseNegatives)
-	}
-	if res.Mismatches != 0 {
-		t.Errorf("Mismatches = %d", res.Mismatches)
-	}
-	if res.Retries == 0 || res.StaleReads == 0 || res.Abstained == 0 {
-		t.Errorf("test vacuous: retries=%d stale=%d abstained=%d — want all exercised", res.Retries, res.StaleReads, res.Abstained)
+	if got.Retries == 0 || got.StaleReads == 0 || got.Abstained == 0 {
+		t.Errorf("test vacuous: retries=%d stale=%d abstained=%d — want all exercised", got.Retries, got.StaleReads, got.Abstained)
 	}
 }
 
 func TestRunFaultySharedInjectorParallel(t *testing.T) {
 	// One Injector backing concurrent executors must be race-free and give
 	// every goroutine bit-identical results (run with -race in CI).
-	s := corrSchema()
-	q := corrQuery(s)
-	p := corrPlan(q)
-	tbl := corrTest(s)
-	model := stats.NewEmpirical(corrTrain(s))
+	s, q, p, tbl, model := corrWorld()
 	inj := fault.NewInjector(s.NumAttrs(), 17)
 	if err := inj.SetAll(fault.AttrFault{PTransient: 0.3, PStale: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := FaultConfig{Injector: inj, Retrier: fault.DefaultRetrier(), Policy: Impute, Model: model}
-	base, err := RunFaulty(s, p, q, tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := execute(t, s, p, q, tbl, Options{Faults: &cfg})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := RunFaulty(s, p, q, tbl, cfg)
+			res, err := Execute(context.Background(), Request{Schema: s, Plan: p, Query: q,
+				Options: Options{Source: NewTableSource(tbl, 0), Faults: &cfg}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -418,9 +348,7 @@ func TestRunFaultySharedInjectorParallel(t *testing.T) {
 }
 
 func TestNewTupleExecutorValidation(t *testing.T) {
-	s := corrSchema()
-	q := corrQuery(s)
-	p := corrPlan(q)
+	s, q, p, _, _ := corrWorld()
 	if _, err := NewTupleExecutor(s, p, q, FaultConfig{Policy: Impute}); err == nil {
 		t.Error("Impute without model accepted")
 	}
@@ -429,6 +357,9 @@ func TestNewTupleExecutorValidation(t *testing.T) {
 	}
 	if _, err := NewTupleExecutor(s, p, q, FaultConfig{Injector: fault.NewInjector(2, 0)}); err == nil {
 		t.Error("injector/schema attribute mismatch accepted")
+	}
+	if _, err := NewTupleExecutor(s, plan.NewSplit(7, 1, p, p), q, FaultConfig{}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("split on attribute 7 of 3: err = %v, want ErrInvalidRequest", err)
 	}
 	if _, err := NewTupleExecutor(s, p, q, FaultConfig{Injector: fault.NewInjector(3, 0)}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
@@ -448,10 +379,7 @@ func TestParseFallbackPolicy(t *testing.T) {
 }
 
 func TestRunFaultyReplanCustomReplanner(t *testing.T) {
-	s := corrSchema()
-	q := corrQuery(s)
-	p := corrPlan(q)
-	tbl := corrTest(s)
+	s, q, p, tbl, _ := corrWorld()
 	inj := fault.NewInjector(s.NumAttrs(), 1)
 	if err := inj.SetAttr(1, fault.AttrFault{Dead: true}); err != nil {
 		t.Fatal(err)
@@ -465,27 +393,20 @@ func TestRunFaultyReplanCustomReplanner(t *testing.T) {
 			}
 			return plan.NewSeq(residual.Preds), nil
 		}}
-	res, err := RunFaulty(s, p, q, tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := execute(t, s, p, q, tbl, Options{Faults: &cfg})
 	if calls != 1 {
 		t.Errorf("replanner called %d times; residual plans must be cached per dead-set", calls)
 	}
-	if res.Replans != 36 || res.Answered() != 36 {
-		t.Errorf("Replans=%d Answered=%d, want 36/36", res.Replans, res.Answered())
+	if res.Fault.Replans != 36 || res.Answered() != 36 {
+		t.Errorf("Replans=%d Answered=%d, want 36/36", res.Fault.Replans, res.Answered())
 	}
 
-	// A replanner whose plan still touches the dead attribute is rejected
-	// in favour of the safe sequential residual.
-	cfg.Replanner = func(failed []bool, residual query.Query) (*plan.Node, error) {
-		return plan.NewSeq(q.Preds), nil // still references dead B
-	}
-	res2, err := RunFaulty(s, p, q, tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Answered() != 36 {
-		t.Errorf("bad replanner output not recovered: answered %d", res2.Answered())
+	// A replanner whose plan is invalid or still touches the dead
+	// attribute is rejected in favour of the safe sequential residual.
+	for _, bad := range []*plan.Node{plan.NewSeq(q.Preds), plan.NewSplit(7, 1, p, p)} {
+		cfg.Replanner = func([]bool, query.Query) (*plan.Node, error) { return bad, nil }
+		if res := execute(t, s, p, q, tbl, Options{Faults: &cfg}); res.Answered() != 36 {
+			t.Errorf("bad replanner output %v not recovered: answered %d", bad, res.Answered())
+		}
 	}
 }

@@ -18,10 +18,9 @@ import (
 // This file pins the streaming executor to the legacy tuple-at-a-time
 // implementations it replaced. legacyRun/legacyRunExists/legacyRunLimit/
 // legacyRunProfiled are verbatim ports of the pre-iterator entry points
-// (per-row table walk, plan.Node.Execute per tuple); every wrapper and
-// Execute itself must reproduce their Results bit for bit — float
-// accumulation order included — across the paper's three dataset
-// families.
+// (per-row table walk, plan.Node.Execute per tuple); Execute must
+// reproduce their Results bit for bit — float accumulation order
+// included — across the paper's three dataset families.
 
 func legacyRun(s *schema.Schema, p *plan.Node, q query.Query, tbl *table.Table) Result {
 	res := Result{Acquisitions: make([]int64, s.NumAttrs())}
@@ -168,11 +167,12 @@ func legacyExecuteProfiled(s *schema.Schema, n *plan.Node, ids map[*plan.Node]in
 
 // identityCase is one dataset/seed instance of the sweep.
 type identityCase struct {
-	name string
-	s    *schema.Schema
-	q    query.Query
-	tbl  *table.Table
-	p    *plan.Node
+	name  string
+	s     *schema.Schema
+	q     query.Query
+	train *table.Table
+	tbl   *table.Table
+	p     *plan.Node
 }
 
 // identityCases builds 8 seeded instances per dataset family — Lab,
@@ -190,7 +190,7 @@ func identityCases(t *testing.T) []identityCase {
 		if p == nil {
 			t.Fatalf("%s: planner returned no plan", name)
 		}
-		cases = append(cases, identityCase{name: name, s: s, q: q, tbl: test, p: p})
+		cases = append(cases, identityCase{name: name, s: s, q: q, train: train, tbl: test, p: p})
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		lab := datagen.Lab(datagen.LabConfig{Motes: 10, Rows: 2400, Seed: seed, QuietMotes: 3})
@@ -221,35 +221,35 @@ func identityCases(t *testing.T) []identityCase {
 func TestExecuteMatchesLegacyAcrossDatasets(t *testing.T) {
 	for _, tc := range identityCases(t) {
 		want := legacyRun(tc.s, tc.p, tc.q, tc.tbl)
-		got := Run(tc.s, tc.p, tc.q, tc.tbl)
+		got := execute(t, tc.s, tc.p, tc.q, tc.tbl, Options{})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Run diverged from legacy:\n got %+v\nwant %+v", tc.name, got, want)
+			t.Errorf("%s: Execute diverged from legacy:\n got %+v\nwant %+v", tc.name, got, want)
 		}
 
 		nNodes := len(tc.p.Preorder())
 		wantProf := trace.NewExecProfile(nNodes, tc.s.NumAttrs())
 		wantRes := legacyRunProfiled(tc.s, tc.p, tc.q, tc.tbl, wantProf)
 		gotProf := trace.NewExecProfile(nNodes, tc.s.NumAttrs())
-		gotRes := RunProfiled(tc.s, tc.p, tc.q, tc.tbl, gotProf)
+		gotRes := execute(t, tc.s, tc.p, tc.q, tc.tbl, Options{Profile: gotProf})
 		if !reflect.DeepEqual(gotRes, wantRes) {
-			t.Errorf("%s: RunProfiled result diverged from legacy", tc.name)
+			t.Errorf("%s: profiled result diverged from legacy", tc.name)
 		}
 		if !reflect.DeepEqual(gotProf, wantProf) {
 			t.Errorf("%s: execution profile diverged from legacy", tc.name)
 		}
 
 		wf, wr, wc := legacyRunExists(tc.s, tc.p, tc.tbl)
-		gf, gr, gc := RunExists(tc.s, tc.p, tc.tbl)
-		if wf != gf || wr != gr || wc != gc {
-			t.Errorf("%s: RunExists = (%v,%d,%v), legacy (%v,%d,%v)", tc.name, gf, gr, gc, wf, wr, wc)
+		ex := execute(t, tc.s, tc.p, query.Query{}, tc.tbl, Options{Exists: true, SkipVerify: true})
+		if wf != ex.Found || wr != ex.FoundRow || wc != ex.TotalCost {
+			t.Errorf("%s: Exists = (%v,%d,%v), legacy (%v,%d,%v)", tc.name, ex.Found, ex.FoundRow, ex.TotalCost, wf, wr, wc)
 		}
 
-		for _, limit := range []int{0, 1, 5, tc.tbl.NumRows() + 1} {
+		for _, limit := range []int{1, 5, tc.tbl.NumRows() + 1} {
 			wRows, wCost := legacyRunLimit(tc.s, tc.p, tc.tbl, limit)
-			gRows, gCost := RunLimit(tc.s, tc.p, tc.tbl, limit)
-			if !reflect.DeepEqual(gRows, wRows) || gCost != wCost {
-				t.Errorf("%s: RunLimit(%d) = (%v,%v), legacy (%v,%v)",
-					tc.name, limit, gRows, gCost, wRows, wCost)
+			lim := execute(t, tc.s, tc.p, query.Query{}, tc.tbl, Options{Limit: limit, SkipVerify: true})
+			if !reflect.DeepEqual(lim.Rows, wRows) || lim.TotalCost != wCost {
+				t.Errorf("%s: Limit %d = (%v,%v), legacy (%v,%v)",
+					tc.name, limit, lim.Rows, lim.TotalCost, wRows, wCost)
 			}
 		}
 	}
@@ -261,16 +261,9 @@ func TestExecuteMatchesLegacyAcrossDatasets(t *testing.T) {
 func TestExecuteBatchSizeInvariant(t *testing.T) {
 	cases := identityCases(t)
 	for _, tc := range []identityCase{cases[0], cases[1], cases[2]} {
-		want := Run(tc.s, tc.p, tc.q, tc.tbl)
+		want := legacyRun(tc.s, tc.p, tc.q, tc.tbl)
 		for _, bs := range []int{1, 7, 64, 4096} {
-			got, err := Execute(context.Background(), Request{
-				Schema: tc.s, Plan: tc.p, Query: tc.q,
-				Options: Options{Source: NewTableSource(tc.tbl, bs)},
-			})
-			if err != nil {
-				t.Fatalf("%s batch %d: %v", tc.name, bs, err)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := execute(t, tc.s, tc.p, tc.q, tc.tbl, Options{Source: NewTableSource(tc.tbl, bs)}); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: batch size %d changed the Result", tc.name, bs)
 			}
 		}

@@ -21,11 +21,11 @@ func TestRunProfiledMatchesRun(t *testing.T) {
 		"seq":   plan.NewSeq(q.Preds),
 		"split": plan.NewSplit(0, 1, plan.NewSeq(q.Preds), plan.NewSeq([]query.Pred{q.Preds[1], q.Preds[0]})),
 	} {
-		want := Run(s, p, q, tbl)
+		want := execute(t, s, p, q, tbl, Options{})
 		prof := trace.NewExecProfile(p.NumNodes(), s.NumAttrs())
-		got := RunProfiled(s, p, q, tbl, prof)
+		got := execute(t, s, p, q, tbl, Options{Profile: prof})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: RunProfiled result differs:\n got %+v\nwant %+v", name, got, want)
+			t.Errorf("%s: profiled result differs:\n got %+v\nwant %+v", name, got, want)
 		}
 		// Bit-exact accounting: integer costs, so the per-node sum must
 		// reproduce the executor's total exactly, not approximately.
@@ -34,14 +34,9 @@ func TestRunProfiledMatchesRun(t *testing.T) {
 				name, prof.SumNodeCost(), want.TotalCost,
 				math.Float64bits(prof.SumNodeCost()), math.Float64bits(want.TotalCost))
 		}
-		if prof.TotalCost != want.TotalCost {
-			t.Errorf("%s: profile TotalCost = %v, want %v", name, prof.TotalCost, want.TotalCost)
-		}
-		if prof.Tuples != int64(want.Tuples) {
-			t.Errorf("%s: profile Tuples = %d, want %d", name, prof.Tuples, want.Tuples)
-		}
-		if prof.NodeVisits[0] != int64(want.Tuples) {
-			t.Errorf("%s: root visits = %d, want %d", name, prof.NodeVisits[0], want.Tuples)
+		if prof.TotalCost != want.TotalCost || prof.Tuples != int64(want.Tuples) || prof.NodeVisits[0] != int64(want.Tuples) {
+			t.Errorf("%s: profile TotalCost/Tuples/root visits = %v/%d/%d, want %v/%d/%d", name,
+				prof.TotalCost, prof.Tuples, prof.NodeVisits[0], want.TotalCost, want.Tuples, want.Tuples)
 		}
 		for a := range want.Acquisitions {
 			if prof.AttrAcquisitions[a] != want.Acquisitions[a] {
@@ -51,15 +46,15 @@ func TestRunProfiledMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunProfiledNilDelegatesToRun pins the nil-profile path of the one
+// plan walker against the legacy unprofiled executor.
 func TestRunProfiledNilDelegatesToRun(t *testing.T) {
 	s := testSchema()
 	q := testQuery(s)
 	tbl := testTable()
-	p := plan.NewSeq(q.Preds)
-	want := Run(s, p, q, tbl)
-	got := RunProfiled(s, p, q, tbl, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("nil-profile RunProfiled differs from Run")
+	p := plan.NewSplit(0, 1, plan.NewSeq(q.Preds), plan.NewLeaf(false))
+	if got, want := execute(t, s, p, q, tbl, Options{Profile: nil}), legacyRun(s, p, q, tbl); !reflect.DeepEqual(got, want) {
+		t.Errorf("nil-profile Execute differs from the legacy executor:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -73,15 +68,13 @@ func TestRunFaultyProfiled(t *testing.T) {
 	tbl := testTable()
 	p := plan.NewSeq(q.Preds)
 
-	// p=0: profile identical to the pristine RunProfiled profile.
+	// p=0: profile identical to the pristine profile.
 	inj := fault.NewInjector(s.NumAttrs(), 42)
 	prof := trace.NewExecProfile(p.NumNodes(), s.NumAttrs())
-	res, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: inj, Retrier: fault.DefaultRetrier(), Profile: prof})
-	if err != nil {
-		t.Fatalf("RunFaulty: %v", err)
-	}
+	res := execute(t, s, p, q, tbl, Options{Profile: prof,
+		Faults: &FaultConfig{Injector: inj, Retrier: fault.DefaultRetrier()}})
 	pristine := trace.NewExecProfile(p.NumNodes(), s.NumAttrs())
-	RunProfiled(s, p, q, tbl, pristine)
+	execute(t, s, p, q, tbl, Options{Profile: pristine})
 	if !reflect.DeepEqual(prof, pristine) {
 		t.Errorf("p=0 fault profile differs from pristine profile:\n got %+v\nwant %+v", prof, pristine)
 	}
@@ -95,15 +88,10 @@ func TestRunFaultyProfiled(t *testing.T) {
 		t.Fatalf("SetAll: %v", err)
 	}
 	prof2 := trace.NewExecProfile(p.NumNodes(), s.NumAttrs())
-	res2, err := RunFaulty(s, p, q, tbl, FaultConfig{Injector: inj2, Retrier: fault.DefaultRetrier(), Profile: prof2})
-	if err != nil {
-		t.Fatalf("RunFaulty faulty: %v", err)
-	}
-	if math.Abs(prof2.TotalCost-res2.TotalCost) > 1e-9 {
-		t.Errorf("faulty: profile TotalCost = %v, result TotalCost = %v", prof2.TotalCost, res2.TotalCost)
-	}
-	if prof2.Tuples != int64(res2.Tuples) {
-		t.Errorf("faulty: profile Tuples = %d, want %d", prof2.Tuples, res2.Tuples)
+	res2 := execute(t, s, p, q, tbl, Options{Profile: prof2,
+		Faults: &FaultConfig{Injector: inj2, Retrier: fault.DefaultRetrier()}})
+	if math.Abs(prof2.TotalCost-res2.TotalCost) > 1e-9 || prof2.Tuples != int64(res2.Tuples) {
+		t.Errorf("faulty: profile TotalCost/Tuples = %v/%d, result %v/%d", prof2.TotalCost, prof2.Tuples, res2.TotalCost, res2.Tuples)
 	}
 }
 
@@ -121,13 +109,9 @@ func TestRunFaultyProfiledReplan(t *testing.T) {
 		t.Fatalf("SetAttr: %v", err)
 	}
 	prof := trace.NewExecProfile(p.NumNodes(), s.NumAttrs())
-	res, err := RunFaulty(s, p, q, tbl, FaultConfig{
-		Injector: inj, Retrier: fault.DefaultRetrier(), Policy: Replan, Profile: prof,
-	})
-	if err != nil {
-		t.Fatalf("RunFaulty: %v", err)
-	}
-	if res.Replans == 0 {
+	res := execute(t, s, p, q, tbl, Options{Profile: prof,
+		Faults: &FaultConfig{Injector: inj, Retrier: fault.DefaultRetrier(), Policy: Replan}})
+	if res.Fault.Replans == 0 {
 		t.Fatalf("expected replans with a dead attribute")
 	}
 	if math.Abs(prof.TotalCost-res.TotalCost) > 1e-9 {

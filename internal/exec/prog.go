@@ -17,6 +17,10 @@ import (
 // (plan.NodeIDs), so per-node profile attribution falls out for free.
 type program struct {
 	ops []progOp
+	// prof, when non-nil, receives run's visits and charges. A field, not
+	// a parameter of run: a tenth argument word spills past the register
+	// ABI's nine integer registers and slows every tuple.
+	prof *trace.ExecProfile
 }
 
 // progOp is one compiled plan node.
@@ -33,7 +37,8 @@ type progOp struct {
 }
 
 // compile flattens a plan into a program. The instruction at index i
-// corresponds to the i-th node of p.Preorder().
+// corresponds to the i-th node of p.Preorder(). The plan must be valid
+// (plan.Node.Validate); Execute and NewTupleExecutor check that first.
 func compile(p *plan.Node) *program {
 	pg := &program{ops: make([]progOp, 0, 8)}
 	pg.emit(p)
@@ -63,44 +68,11 @@ func (pg *program) emit(n *plan.Node) int32 {
 // values straight from the batch's columns (no row copy) and charging
 // first-touch acquisitions into acquired — exactly the traversal,
 // charge, and accumulation order of plan.Node.Execute, so costs are
-// bit-identical to the legacy tuple-at-a-time executor.
+// bit-identical to the legacy tuple-at-a-time executor. Visits and
+// charges are attributed to pg.prof (nil disables attribution), with the
+// instruction index as the node ID.
 func (pg *program) run(s *schema.Schema, cols [][]schema.Value, i int, acquired []bool) (result bool, cost float64) {
-	op := &pg.ops[0]
-	for {
-		switch op.kind {
-		case plan.Leaf:
-			return op.result, cost
-		case plan.Split:
-			a := op.attr
-			if !acquired[a] {
-				cost += s.AcquisitionCost(int(a), acquired)
-				acquired[a] = true
-			}
-			if cols[a][i] >= op.x {
-				op = &pg.ops[op.right]
-			} else {
-				op = &pg.ops[op.left]
-			}
-		default: // plan.Seq
-			for _, p := range op.preds {
-				if !acquired[p.Attr] {
-					cost += s.AcquisitionCost(p.Attr, acquired)
-					acquired[p.Attr] = true
-				}
-				if !p.Eval(cols[p.Attr][i]) {
-					return false, cost
-				}
-			}
-			return true, cost
-		}
-	}
-}
-
-// runProfiled is run with per-node attribution: it visits and charges
-// the profile in the same order the legacy profiled executor did, so
-// profiled results and node cost sums stay bit-exact. The instruction
-// index doubles as the node ID.
-func (pg *program) runProfiled(s *schema.Schema, cols [][]schema.Value, i int, acquired []bool, prof *trace.ExecProfile) (result bool, cost float64) {
+	prof := pg.prof
 	id := int32(0)
 	for {
 		op := &pg.ops[id]

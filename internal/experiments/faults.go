@@ -114,15 +114,15 @@ func FaultStudy(e *Env) (FaultStudyResult, error) {
 					return res, err
 				}
 				totalCost += fr.TotalCost
-				retryCost += fr.RetryCost
+				retryCost += fr.Fault.RetryCost
 				tuples += fr.Tuples
 				answeredSum += fr.Answered()
-				correctSum += fr.Answered() - fr.FalsePositives - fr.FalseNegatives
-				agg.Retries += fr.Retries
-				agg.Failures += fr.Failures
-				agg.Imputed += fr.Imputed
-				agg.Replans += fr.Replans
-				agg.WrongAnswers += fr.FalsePositives + fr.FalseNegatives
+				correctSum += fr.Answered() - fr.Fault.FalsePositives - fr.Fault.FalseNegatives
+				agg.Retries += fr.Fault.Retries
+				agg.Failures += fr.Fault.Failures
+				agg.Imputed += fr.Fault.Imputed
+				agg.Replans += fr.Fault.Replans
+				agg.WrongAnswers += fr.Fault.FalsePositives + fr.Fault.FalseNegatives
 			}
 			agg.MeanCost = totalCost / float64(tuples)
 			if totalCost > 0 {
@@ -154,22 +154,18 @@ func FaultStudy(e *Env) (FaultStudyResult, error) {
 	return res, nil
 }
 
-// runFaulty executes one fault-injected run through the unified executor
-// and converts to the legacy accounting shape the study compares on.
-func runFaulty(ctx context.Context, s *schema.Schema, node *plan.Node, q query.Query, test *table.Table, cfg exec.FaultConfig) (exec.FaultResult, error) {
-	res, err := exec.Execute(ctx, exec.Request{
+// runFaulty executes one fault-injected run; its accounting lands in
+// Result.Fault.
+func runFaulty(ctx context.Context, s *schema.Schema, node *plan.Node, q query.Query, test *table.Table, cfg exec.FaultConfig) (exec.Result, error) {
+	return exec.Execute(ctx, exec.Request{
 		Schema: s, Plan: node, Query: q,
 		Options: exec.Options{Source: exec.NewTableSource(test, 0), Faults: &cfg, Profile: cfg.Profile},
 	})
-	if err != nil {
-		return exec.FaultResult{}, err
-	}
-	return res.AsFaultResult(), nil
 }
 
 // checkFaultRun enforces the per-run invariants the study gates on.
-func checkFaultRun(ctx context.Context, node *plan.Node, q query.Query, w labWorld, rate float64, cfg exec.FaultConfig, fr exec.FaultResult) error {
-	if fr.TotalCost < 0 || fr.RetryCost < 0 || fr.MaxCost < 0 {
+func checkFaultRun(ctx context.Context, node *plan.Node, q query.Query, w labWorld, rate float64, cfg exec.FaultConfig, fr exec.Result) error {
+	if fr.TotalCost < 0 || fr.Fault.RetryCost < 0 || fr.MaxCost < 0 {
 		return fmt.Errorf("experiments: faults: negative cost at rate %g policy %v: %+v", rate, cfg.Policy, fr)
 	}
 	if fr.Mismatches != 0 {
@@ -185,7 +181,9 @@ func checkFaultRun(ctx context.Context, node *plan.Node, q query.Query, w labWor
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(fr.Result, pristine) {
+		plain := fr
+		plain.Fault = nil
+		if !reflect.DeepEqual(plain, pristine) {
 			return fmt.Errorf("experiments: faults: rate-zero run diverges from fault-free executor for policy %v", cfg.Policy)
 		}
 	}

@@ -57,7 +57,10 @@ func (s *Schema) BoardAttrs(board int) []int {
 // own cost, plus its board's power-up cost if no attribute sharing the
 // board has been acquired yet. acquired is indexed by attribute.
 func (s *Schema) AcquisitionCost(attr int, acquired []bool) float64 {
-	a := s.attrs[attr]
+	// A pointer, not a copy: executors call this for every acquisition,
+	// and reading a field back from a copied Attribute waits on the copy's
+	// stack stores, a stall whose size varies with the frame's alignment.
+	a := &s.attrs[attr]
 	cost := a.Cost
 	if a.Board > 0 && !s.boardPowered(a.Board, acquired) {
 		cost += s.BoardCost(a.Board)
@@ -90,8 +93,8 @@ func (s *Schema) AcquisitionCostWith(attr int, isAcquired func(int) bool) float6
 
 // boardPowered reports whether any acquired attribute shares the board.
 func (s *Schema) boardPowered(board int, acquired []bool) bool {
-	for i, a := range s.attrs {
-		if a.Board == board && acquired[i] {
+	for i := range s.attrs {
+		if s.attrs[i].Board == board && acquired[i] {
 			return true
 		}
 	}

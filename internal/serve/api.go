@@ -486,14 +486,13 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	var report *faultReport
 	if req.Faults != nil {
-		fres := res.AsFaultResult()
-		res = fres.Result
-		report = newFaultReport(req.Faults, faultCfg.Policy, fres)
+		fs := res.Fault
+		report = newFaultReport(req.Faults, faultCfg.Policy, res)
 		count(&s.metrics.faultExecutions, 1)
-		count(&s.metrics.faultRetries, int64(fres.Retries))
-		count(&s.metrics.faultFailures, int64(fres.Failures))
-		count(&s.metrics.faultFallbacks, int64(fres.Abstained+fres.Imputed+fres.Replans))
-		count(&s.metrics.degradedAnswers, int64(fres.Abstained+fres.FalsePositives+fres.FalseNegatives))
+		count(&s.metrics.faultRetries, int64(fs.Retries))
+		count(&s.metrics.faultFailures, int64(fs.Failures))
+		count(&s.metrics.faultFallbacks, int64(fs.Abstained+fs.Imputed+fs.Replans))
+		count(&s.metrics.degradedAnswers, int64(fs.Abstained+fs.FalsePositives+fs.FalseNegatives))
 	}
 	count(&s.metrics.executed, 1)
 	s.metrics.recordRequest(epExecute, requestOutcome(out.degraded, cached || shared), time.Since(start))

@@ -111,19 +111,22 @@ type faultReport struct {
 	Accuracy       float64 `json:"accuracy"`
 }
 
-func newFaultReport(spec *faultSpec, policy exec.FallbackPolicy, res exec.FaultResult) *faultReport {
+// newFaultReport renders the fault accounting of res, a Result produced
+// with Options.Faults set.
+func newFaultReport(spec *faultSpec, policy exec.FallbackPolicy, res exec.Result) *faultReport {
+	fs := res.Fault
 	return &faultReport{
 		Policy:         policy.String(),
 		Seed:           spec.Seed,
-		Failures:       res.Failures,
-		Retries:        res.Retries,
-		RetryCost:      res.RetryCost,
-		StaleReads:     res.StaleReads,
-		Abstained:      res.Abstained,
-		Imputed:        res.Imputed,
-		Replans:        res.Replans,
-		FalsePositives: res.FalsePositives,
-		FalseNegatives: res.FalseNegatives,
+		Failures:       fs.Failures,
+		Retries:        fs.Retries,
+		RetryCost:      fs.RetryCost,
+		StaleReads:     fs.StaleReads,
+		Abstained:      fs.Abstained,
+		Imputed:        fs.Imputed,
+		Replans:        fs.Replans,
+		FalsePositives: fs.FalsePositives,
+		FalseNegatives: fs.FalseNegatives,
 		Answered:       res.Answered(),
 		Accuracy:       res.Accuracy(),
 	}

@@ -146,11 +146,6 @@ func TestTypedSentinels(t *testing.T) {
 	if !errors.Is(err, acqp.ErrBudgetExceeded) {
 		t.Errorf("budget-starved exhaustive returned %v, want ErrBudgetExceeded", err)
 	}
-	// The historical entry point converts too.
-	_, _, err = acqp.OptimizeExhaustive(context.Background(), d, q, 8, 1)
-	if !errors.Is(err, acqp.ErrBudgetExceeded) {
-		t.Errorf("OptimizeExhaustive returned %v, want ErrBudgetExceeded", err)
-	}
 
 	s := acqp.NewSchema(
 		acqp.Attribute{Name: "a", K: 4, Cost: 1},
