@@ -7,7 +7,7 @@
 #   go build   everything compiles
 #   go test    the full suite, with the race detector on
 #   acqlint    the domain-specific invariants (internal/analysis); the
-#              machine-readable report (findings, typed-package coverage,
+#              machine-readable report (findings, package count,
 #              timing) is archived to results/acqlint-report.json and the
 #              timing summary prints to stderr
 #   fuzz smoke short runs of the fuzz targets (plan decoder, SQL parser,

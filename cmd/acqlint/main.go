@@ -8,11 +8,13 @@
 // Patterns follow go-tool conventions ("./...", "internal/opt",
 // "internal/..."); the default is "./...". Diagnostics print as
 // file:line:col: analyzer: message, or as a machine-readable report with
-// -json (findings plus package/typed-coverage counts and the analysis
-// duration, for CI archiving). A summary line with the same counts and
-// timing always goes to stderr, so analysis-cost regressions are visible
-// in CI logs. Exit status is 0 for a clean tree, 1 when findings are
-// reported, and 2 on usage or load errors.
+// -json (findings plus the named-package count and the analysis duration,
+// for CI archiving). A summary line with the same counts and timing
+// always goes to stderr, so analysis-cost regressions are visible in CI
+// logs. Repo packages the patterns import load as dependencies but are
+// not reported on. Exit status is 0 for a clean tree, 1 when findings
+// are reported, and 2 on usage or load errors — a parse or type error in
+// a named package or a dependency is a load error.
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -104,13 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := analysis.RunAll(pkgs, enabled)
 	elapsed := time.Since(start)
 
-	typed := 0
-	for _, p := range pkgs {
-		if p.TypesInfo != nil {
-			typed++
-		}
-	}
-
 	relName := func(name string) string {
 		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
 			return rel
@@ -120,11 +115,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *jsonOut {
 		report := jsonReport{
-			Findings:      []jsonFinding{},
-			Count:         len(diags),
-			Packages:      len(pkgs),
-			TypedPackages: typed,
-			DurationMS:    elapsed.Milliseconds(),
+			Findings:   []jsonFinding{},
+			Count:      len(diags),
+			Packages:   len(pkgs),
+			DurationMS: elapsed.Milliseconds(),
 		}
 		for _, a := range enabled {
 			report.Analyzers = append(report.Analyzers, a.Name)
@@ -149,8 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
-	fmt.Fprintf(stderr, "acqlint: %d finding(s) in %d package(s) (%d typed) in %dms\n",
-		len(diags), len(pkgs), typed, elapsed.Milliseconds())
+	fmt.Fprintf(stderr, "acqlint: %d finding(s) in %d package(s) in %dms\n",
+		len(diags), len(pkgs), elapsed.Milliseconds())
 	if len(diags) > 0 {
 		return 1
 	}
@@ -159,12 +153,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // jsonReport is the -json output shape, archived by CI.
 type jsonReport struct {
-	Findings      []jsonFinding `json:"findings"`
-	Count         int           `json:"count"`
-	Packages      int           `json:"packages"`
-	TypedPackages int           `json:"typed_packages"`
-	Analyzers     []string      `json:"analyzers"`
-	DurationMS    int64         `json:"duration_ms"`
+	Findings   []jsonFinding `json:"findings"`
+	Count      int           `json:"count"`
+	Packages   int           `json:"packages"`
+	Analyzers  []string      `json:"analyzers"`
+	DurationMS int64         `json:"duration_ms"`
 }
 
 type jsonFinding struct {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,6 +17,23 @@ func TestRunCleanTree(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("clean tree produced output:\n%s", out.String())
+	}
+}
+
+// TestRunTypeError checks that a type error is a load error: exit 2 with
+// the go/types message and its file:line:col on stderr.
+func TestRunTypeError(t *testing.T) {
+	dir := t.TempDir()
+	src := "package broken\n\nvar x int = \"not an int\"\n"
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{dir}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d on a type error, want 2; stdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "broken.go:3:13: cannot use") {
+		t.Errorf("stderr does not carry the positioned type error:\n%s", errb.String())
 	}
 }
 
@@ -41,8 +60,8 @@ func TestRunUnknownAnalyzer(t *testing.T) {
 }
 
 // TestRunJSON checks the machine-readable report CI archives: the
-// finding list mirrors the text diagnostics, the coverage counters are
-// filled in, and a clean (fully disabled) run still emits a well-formed
+// finding list mirrors the text diagnostics, the package count is filled
+// in, and a clean (fully disabled) run still emits a well-formed
 // report with a non-null findings array.
 func TestRunJSON(t *testing.T) {
 	const dir = "../../internal/analysis/testdata/src/ctxfix"
@@ -58,11 +77,10 @@ func TestRunJSON(t *testing.T) {
 			Analyzer string `json:"analyzer"`
 			Message  string `json:"message"`
 		} `json:"findings"`
-		Count         int      `json:"count"`
-		Packages      int      `json:"packages"`
-		TypedPackages int      `json:"typed_packages"`
-		Analyzers     []string `json:"analyzers"`
-		DurationMS    *int64   `json:"duration_ms"`
+		Count      int      `json:"count"`
+		Packages   int      `json:"packages"`
+		Analyzers  []string `json:"analyzers"`
+		DurationMS *int64   `json:"duration_ms"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
 		t.Fatalf("unmarshal report: %v\n%s", err, out.String())
@@ -75,8 +93,8 @@ func TestRunJSON(t *testing.T) {
 			t.Errorf("malformed finding: %+v", f)
 		}
 	}
-	if report.Packages != 1 || report.TypedPackages != 1 {
-		t.Errorf("packages=%d typed=%d, want 1/1", report.Packages, report.TypedPackages)
+	if report.Packages != 1 {
+		t.Errorf("packages=%d, want 1", report.Packages)
 	}
 	hasDetflow := false
 	for _, name := range report.Analyzers {

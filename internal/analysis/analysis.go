@@ -4,14 +4,14 @@
 // package-prefixed panics, handled errors, threaded contexts, and the
 // cross-package determinism of the planner core.
 //
-// Each invariant is a named Analyzer over a parsed Package. The engine is
-// typed: Load type-checks every package with go/types, resolving repo
-// imports against the load itself and standard-library imports from
-// GOROOT source (go/importer "source" mode — still zero external
-// dependencies). When type-checking fails — golden fixtures with
-// deliberate type errors, partial loads — the package keeps TypesInfo nil
-// and every analyzer falls back to the original syntactic heuristics
-// (see Index), so the driver still runs on any tree that parses.
+// Each invariant is a named Analyzer over a type-checked Package. Load
+// type-checks every named package with go/types, loading the repo
+// packages they import as dependencies under the same module root and
+// standard-library imports from GOROOT source (go/importer "source" mode
+// — still zero external dependencies). Analyzers report on the named
+// packages only, and a package's diagnostics do not depend on which other
+// packages were named. A parse or type error is a load error: acqlint
+// exits 2 on it, as go vet does.
 //
 // The driver analyzes packages in parallel; diagnostics are ordered
 // deterministically regardless of scheduling, so two runs over the same
@@ -87,8 +87,7 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Package is one parsed package directory plus the indexes analyzers
-// consult.
+// Package is one parsed, type-checked package directory.
 type Package struct {
 	// Fset positions every file in the package.
 	Fset *token.FileSet
@@ -102,23 +101,14 @@ type Package struct {
 	// is parallel to it.
 	Files     []*ast.File
 	FileNames []string
-	// Index is the package-local heuristic symbol table, the fallback
-	// when type-checking fails.
-	Index *Index
-	// Global is the repo-wide exported symbol table, shared by all
-	// packages of a load.
-	Global *GlobalIndex
 
 	// ImportPath is the package's module import path (modulePath for the
 	// root package), the key under which siblings import it.
 	ImportPath string
 	// TypesPkg and TypesInfo carry full go/types information for the
-	// non-test files, or are nil when type-checking failed; TypeErr then
-	// records why. Analyzers consult TypesInfo where available and fall
-	// back to the heuristic Index otherwise.
+	// non-test files.
 	TypesPkg  *types.Package
 	TypesInfo *types.Info
-	TypeErr   error
 
 	// prog is the whole-load view shared by every package, for
 	// cross-package passes like detflow.
@@ -171,8 +161,7 @@ const ignoreDirective = "//acqlint:ignore"
 
 // buildIgnores scans every comment for ignore directives, and validates
 // pure assertions (their semantics live in the call graph; the mandatory
-// reason is checked here so a bare //acqlint:pure is reported even in
-// fallback mode).
+// reason is checked here, where every comment is visited).
 func (p *Package) buildIgnores() {
 	p.ignores = make(map[int]map[int][]string)
 	for i, f := range p.Files {

@@ -17,12 +17,12 @@ import (
 // across worker counts, p=0 fault-path identity, trace non-interference,
 // cache-key soundness — reduces to the planner core being a pure function
 // of (statistics, query, options). The taint pass makes that property
-// checkable: it builds a static call graph over every type-checked
-// package of the load, marks nondeterminism *sources* (wall-clock reads,
-// global math/rand draws, environment/file/network I/O, map iteration
-// feeding ordered output, goroutine spawns whose completion order is
-// scheduler-dependent), and reports any call path from an exported
-// function of the declared-pure packages to a source.
+// checkable: it builds a static call graph over every package of the
+// load, its repo dependencies included, marks nondeterminism *sources*
+// (wall-clock reads, global math/rand draws, environment/file/network
+// I/O, map iteration feeding ordered output, goroutine spawns whose
+// completion order is scheduler-dependent), and reports any call path
+// from an exported function of the declared-pure packages to a source.
 //
 // Sanitizers — the audited ways nondeterminism is injected rather than
 // read — fall out of the model or are asserted explicitly:
@@ -39,8 +39,7 @@ import (
 //     on the record.
 //
 // The pass is sound only up to static resolution: interface method calls
-// that cannot be devirtualized are not edges. That is the same trade the
-// syntactic engine makes, bought here at a much higher resolution.
+// that cannot be devirtualized are not edges.
 
 // purePackages are the packages declared pure: their exported API must be
 // a deterministic function of its inputs.
@@ -164,13 +163,10 @@ func pureReason(fd *ast.FuncDecl) string {
 	return ""
 }
 
-// build constructs the call graph over every typed package of the load.
+// build constructs the call graph over every package of the load.
 func (prog *program) build() {
 	prog.nodes = make(map[*types.Func]*funcNode)
 	for _, p := range prog.pkgs {
-		if p.TypesInfo == nil {
-			continue
-		}
 		p.walkNonTest(func(_ int, f *ast.File) {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -205,7 +201,7 @@ func (prog *program) build() {
 func (prog *program) scanNode(p *Package, node *funcNode, n ast.Node, calleePos map[ast.Expr]bool) {
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		calleePos[unparen(n.Fun)] = true
+		calleePos[ast.Unparen(n.Fun)] = true
 		fn := p.calleeOf(n)
 		if fn == nil {
 			return // dynamic call: injected dependency, sanitized by construction
@@ -219,7 +215,7 @@ func (prog *program) scanNode(p *Package, node *funcNode, n ast.Node, calleePos 
 		node.facts = append(node.facts, sourceFact{n.Pos(),
 			"goroutine spawn (completion order is scheduler-dependent)"})
 	case *ast.RangeStmt:
-		if isMap, ok := p.typedMap(n.X); ok && isMap {
+		if p.isMap(n.X) {
 			if why := orderDependent(n.Body); why != "" {
 				node.facts = append(node.facts, sourceFact{n.For,
 					"map iteration order feeding ordered output (" + why + ")"})
@@ -302,12 +298,18 @@ func (prog *program) detflowAll() map[*Package][]Diagnostic {
 			return a.Offset < b.Offset
 		})
 
-		// Each source fact is reported once, from the first entry (in the
-		// order above) that reaches it, with the shortest call path — BFS
-		// over callees in source order makes the choice deterministic.
-		reported := make(map[token.Pos]bool)
+		// Each source fact is reported once per package, from the first
+		// of its entries (in the order above) that reaches it, with the
+		// shortest call path — BFS over callees in source order makes the
+		// choice deterministic. Deduplicating per package rather than per
+		// load keeps a package's findings independent of which other
+		// pure packages were named.
+		reported := make(map[*Package]map[token.Pos]bool)
 		for _, entry := range entries {
-			prog.taintFrom(entry, reported)
+			if reported[entry.pkg] == nil {
+				reported[entry.pkg] = make(map[token.Pos]bool)
+			}
+			prog.taintFrom(entry, reported[entry.pkg])
 		}
 	})
 	return prog.detflow
@@ -355,18 +357,12 @@ func (prog *program) taintFrom(entry *funcNode, reported map[token.Pos]bool) {
 	}
 }
 
-// DetFlow is the cross-package determinism taint analysis. It needs type
-// information: packages that fail to type-check are skipped (the
-// TestPurePackagesTyped guard in this repo pins that the real planner
-// core never silently loses coverage that way).
+// DetFlow is the cross-package determinism taint analysis.
 var DetFlow = &Analyzer{
 	Name: "detflow",
 	Doc: fmt.Sprintf("report call paths from exported functions of the declared-pure packages (%s) to nondeterminism sources",
 		strings.Join(purePackages, ", ")),
 	Run: func(p *Package) []Diagnostic {
-		if p.prog == nil {
-			return nil
-		}
 		return p.prog.detflowAll()[p]
 	},
 }

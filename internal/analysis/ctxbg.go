@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxBg forbids context.Background() and context.TODO() outside binaries
@@ -27,51 +26,19 @@ func runCtxBg(p *Package) []Diagnostic {
 	}
 	var out []Diagnostic
 	p.walkNonTest(func(_ int, f *ast.File) {
-		if p.TypesInfo != nil {
-			// Typed mode: resolve uses of the two constructors, alias- and
-			// dot-import-proof.
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := p.TypesInfo.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-					return true
-				}
-				if fn.Name() == "Background" || fn.Name() == "TODO" {
-					out = append(out, p.diag("ctxbg", id.Pos(),
-						"context.%s outside cmd/ and package main; thread the caller's context (ctx parameter or configured base context) instead", fn.Name()))
-				}
-				return true
-			})
-			return
-		}
-		// Fallback mode: match the import's local name syntactically.
-		ctxLocal := ""
-		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "context" {
-				ctxLocal = "context"
-				if imp.Name != nil {
-					ctxLocal = imp.Name.Name
-				}
-			}
-		}
-		if ctxLocal == "" || ctxLocal == "." {
-			return
-		}
+		// Resolve uses of the two constructors, alias- and dot-import-proof.
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != ctxLocal {
+			fn, ok := p.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 				return true
 			}
-			if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
-				out = append(out, p.diag("ctxbg", sel.Pos(),
-					"context.%s outside cmd/ and package main; thread the caller's context (ctx parameter or configured base context) instead", sel.Sel.Name))
+			if fn.Name() == "Background" || fn.Name() == "TODO" {
+				out = append(out, p.diag("ctxbg", id.Pos(),
+					"context.%s outside cmd/ and package main; thread the caller's context (ctx parameter or configured base context) instead", fn.Name()))
 			}
 			return true
 		})

@@ -83,61 +83,32 @@ func (sc detScope) run(p *Package) []Diagnostic {
 	}
 	var out []Diagnostic
 	p.walkNonTest(func(_ int, f *ast.File) {
-		// The import ban is syntactic in every mode: the import clause is
-		// the fact itself.
-		timeLocal := ""
+		// The import ban is syntactic: the import clause is the fact itself.
 		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			switch path {
-			case "math/rand", "math/rand/v2":
+			if path := strings.Trim(imp.Path.Value, `"`); path == "math/rand" || path == "math/rand/v2" {
 				out = append(out, p.diag(sc.name, imp.Pos(),
 					"import of %s in %s; %s", path, sc.dir, sc.randWhy))
-			case "time":
-				timeLocal = "time"
-				if imp.Name != nil {
-					timeLocal = imp.Name.Name
-				}
 			}
 		}
-		if p.TypesInfo != nil {
-			// Typed mode: resolve every identifier that uses a banned
-			// "time" function — alias- and dot-import-proof, and it flags
-			// time.Now escaping as a value just like a direct read.
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := p.TypesInfo.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					return true // methods on time values are pure arithmetic
-				}
-				if scopeClockFuncs[fn.Name()] {
-					out = append(out, p.diag(sc.name, id.Pos(),
-						"wall-clock read time.%s in %s; %s", fn.Name(), sc.dir, sc.clockWhy))
-				}
-				return true
-			})
-			return
-		}
-		// Fallback mode: match the import's local name syntactically.
-		if timeLocal == "" || timeLocal == "." {
-			return
-		}
+		// Resolve every identifier that uses a banned "time" function —
+		// alias- and dot-import-proof, and it flags time.Now escaping as a
+		// value just like a direct read.
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != timeLocal || !scopeClockFuncs[sel.Sel.Name] {
+			fn, ok := p.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}
-			out = append(out, p.diag(sc.name, sel.Pos(),
-				"wall-clock read time.%s in %s; %s", sel.Sel.Name, sc.dir, sc.clockWhy))
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				return true // methods on time values are pure arithmetic
+			}
+			if scopeClockFuncs[fn.Name()] {
+				out = append(out, p.diag(sc.name, id.Pos(),
+					"wall-clock read time.%s in %s; %s", fn.Name(), sc.dir, sc.clockWhy))
+			}
 			return true
 		})
 	})

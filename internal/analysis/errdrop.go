@@ -3,18 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // ErrDrop flags discarded error returns outside tests: a call used as a
 // bare statement when its last result is an error, and assignments that
-// blank the error position (`x, _ := f()`, `_ = f()`). The policy covers
-// repo-declared functions and methods only — standard-library drops
-// (fmt.Println and friends) are out of scope by design. In typed mode
-// callees resolve exactly from signatures; fallback mode is heuristic:
-// local functions, repo packages' exported functions, and method names
-// whose repo-wide declarations unambiguously end in error. Deliberate
-// discards take an //acqlint:ignore errdrop <reason> directive.
+// blank the error position (`x, _ := f()`, `_ = f()`). Callees resolve
+// exactly from signatures, and the policy covers repo-declared functions
+// and methods only — standard-library drops (fmt.Println and friends) are
+// out of scope by design. Deliberate discards take an
+// //acqlint:ignore errdrop <reason> directive.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc:  "forbid discarded error returns outside tests",
@@ -31,7 +28,7 @@ func runErrDrop(p *Package) []Diagnostic {
 				// out of scope here.
 				return false
 			case *ast.ExprStmt:
-				if call, ok := unparen(n.X).(*ast.CallExpr); ok {
+				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 					if name, ok := p.returnsError(call); ok {
 						out = append(out, p.diag("errdrop", call.Pos(),
 							"%s returns an error that is discarded; handle it or check it", name))
@@ -56,7 +53,7 @@ func (p *Package) blankedErrors(as *ast.AssignStmt) []Diagnostic {
 	// Multi-value form: x, _ := f() — the blank must sit in the error
 	// (last) position.
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return nil
 		}
@@ -78,7 +75,7 @@ func (p *Package) blankedErrors(as *ast.AssignStmt) []Diagnostic {
 			if !ok || id.Name != "_" {
 				continue
 			}
-			call, ok := unparen(as.Rhs[i]).(*ast.CallExpr)
+			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
 			if !ok {
 				continue
 			}
@@ -94,73 +91,24 @@ func (p *Package) blankedErrors(as *ast.AssignStmt) []Diagnostic {
 // returnsError resolves whether the called function's last result is an
 // error, returning a printable name for diagnostics.
 func (p *Package) returnsError(call *ast.CallExpr) (string, bool) {
-	if p.TypesInfo != nil {
-		fn := p.calleeOf(call)
-		// Dynamic calls and non-repo callees are out of scope; see the
-		// analyzer doc.
-		if fn == nil || !isRepoObject(fn) || !lastResultIsError(fn) {
-			return "", false
-		}
-		name := fn.Name()
-		switch callee := unparen(call.Fun).(type) {
-		case *ast.SelectorExpr:
-			name = printableSelector(callee)
-		case *ast.Ident:
-			name = callee.Name
-		}
-		return name, true
+	fn := p.calleeOf(call)
+	// Dynamic calls and non-repo callees are out of scope; see the
+	// analyzer doc.
+	if fn == nil || !isRepoObject(fn) || !lastResultIsError(fn) {
+		return "", false
 	}
-	switch fn := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if p.Index.ErrFuncs[fn.Name] {
-			return fn.Name, true
-		}
+	name := fn.Name()
+	switch callee := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		id, ok := unparen(fn.X).(*ast.Ident)
-		if ok {
-			// Qualified call into a repo package: pkg.Fn.
-			key := id.Name + "." + fn.Sel.Name
-			if p.importsRepoPackage(id.Name) && p.Global.ErrFuncs[key] {
-				return key, true
-			}
-			// Not a repo package selector: only method-name resolution
-			// below may still apply (e.g. value receivers).
-		}
-		name := fn.Sel.Name
-		if looksQualified(p, fn) {
-			return "", false // std or external package call: no signature info
-		}
-		if p.Index.ErrMethods[name] || p.Global.ErrMethods[name] {
-			return printableSelector(fn), true
-		}
+		name = printableSelector(callee)
+	case *ast.Ident:
+		name = callee.Name
 	}
-	return "", false
-}
-
-// looksQualified reports whether sel.X names an imported package (of any
-// origin), meaning sel is pkg.Func rather than value.Method.
-func looksQualified(p *Package, sel *ast.SelectorExpr) bool {
-	id, ok := unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			local := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			if local == id.Name {
-				return true
-			}
-		}
-	}
-	return false
+	return name, true
 }
 
 func printableSelector(sel *ast.SelectorExpr) string {
-	if id, ok := unparen(sel.X).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
 		return id.Name + "." + sel.Sel.Name
 	}
 	return sel.Sel.Name

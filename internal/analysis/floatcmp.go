@@ -20,21 +20,12 @@ var floatCmpScope = []string{
 // costs are branch-weighted sums, so two mathematically equal values
 // rarely compare equal; use the helpers in internal/floats (floats.Eq,
 // floats.Zero, floats.One) or an explicit <=/>= against a bound instead.
-// In typed mode operands resolve exactly (named float types, inferred
-// locals); fallback mode uses the heuristic index.
+// Operands resolve exactly from their types (named float types, inferred
+// locals).
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc:  "forbid ==/!= between float64 expressions in the numeric packages",
 	Run:  runFloatCmp,
-}
-
-// floatOperand resolves whether an expression is float-kinded, typed
-// where available.
-func (p *Package) floatOperand(e ast.Expr) bool {
-	if isFloat, ok := p.typedFloat(e); ok {
-		return isFloat
-	}
-	return p.isFloatExpr(e)
 }
 
 func runFloatCmp(p *Package) []Diagnostic {
@@ -55,12 +46,7 @@ func runFloatCmp(p *Package) []Diagnostic {
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
 			}
-			// A nil comparison can never be a float comparison, whatever
-			// the name-based index thinks of the other operand.
-			if isIdentType(unparen(be.X), "nil") || isIdentType(unparen(be.Y), "nil") {
-				return true
-			}
-			if p.floatOperand(be.X) || p.floatOperand(be.Y) {
+			if p.isFloat(be.X) || p.isFloat(be.Y) {
 				out = append(out, p.diag("floatcmp", be.OpPos,
 					"exact float64 %s comparison; use floats.Eq/Zero/One (internal/floats) or an inequality with tolerance", be.Op))
 			}

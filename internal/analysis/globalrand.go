@@ -3,18 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
-
-// globalRandAllowed are the math/rand names that construct an explicit
-// generator rather than touching the shared global source.
-var globalRandAllowed = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"Rand":      true, // the type, in declarations like *rand.Rand
-	"Source":    true,
-}
 
 // GlobalRand forbids the top-level math/rand convenience functions
 // (rand.Float64, rand.Intn, rand.Seed, ...) outside tests: they draw from
@@ -30,63 +19,30 @@ var GlobalRand = &Analyzer{
 func runGlobalRand(p *Package) []Diagnostic {
 	var out []Diagnostic
 	p.walkNonTest(func(_ int, f *ast.File) {
-		if p.TypesInfo != nil {
-			// Typed mode: resolve every use of a math/rand package-level
-			// function — alias- and dot-import-proof. Constructors and
-			// methods on an explicit *rand.Rand are the sanctioned pattern.
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := p.TypesInfo.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil {
-					return true
-				}
-				path := fn.Pkg().Path()
-				if path != "math/rand" && path != "math/rand/v2" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					return true
-				}
-				if randConstructors[fn.Name()] {
-					return true
-				}
-				out = append(out, p.diag("globalrand", id.Pos(),
-					"global math/rand.%s is shared, unseeded state; inject a seeded *rand.Rand (rand.New(rand.NewSource(seed)))", fn.Name()))
-				return true
-			})
-			return
-		}
-		// Find the local name math/rand is imported under, if at all.
-		local := ""
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path == "math/rand" || path == "math/rand/v2" {
-				local = path[strings.LastIndex(path, "/")+1:]
-				if local == "v2" {
-					local = "rand"
-				}
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" || local == "." {
-			return
-		}
+		// Resolve every use of a math/rand package-level function — alias-
+		// and dot-import-proof. Constructors and methods on an explicit
+		// *rand.Rand are the sanctioned pattern.
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != local || globalRandAllowed[sel.Sel.Name] {
+			fn, ok := p.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil {
 				return true
 			}
-			out = append(out, p.diag("globalrand", sel.Pos(),
-				"global math/rand.%s is shared, unseeded state; inject a seeded *rand.Rand (rand.New(rand.NewSource(seed)))", sel.Sel.Name))
+			path := fn.Pkg().Path()
+			if path != "math/rand" && path != "math/rand/v2" {
+				return true
+			}
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				return true
+			}
+			if randConstructors[fn.Name()] {
+				return true
+			}
+			out = append(out, p.diag("globalrand", id.Pos(),
+				"global math/rand.%s is shared, unseeded state; inject a seeded *rand.Rand (rand.New(rand.NewSource(seed)))", fn.Name()))
 			return true
 		})
 	})

@@ -20,12 +20,15 @@ var skipDirs = map[string]bool{
 	"results":  true,
 }
 
-// Load parses the packages named by the patterns and builds their
-// indexes. root is the module root (scope checks and RelPath are computed
-// against it). Patterns follow go-tool conventions: "./..." walks
-// recursively, "dir/..." walks a subtree, and a plain directory names a
-// single package. A directory under testdata may be named explicitly even
-// though "..." walks skip it — that is how fixtures are linted.
+// Load parses and type-checks the packages named by the patterns, loading
+// their repo imports as dependencies (see typeChecker), and returns the
+// named packages only. root is the module root (scope checks, RelPath and
+// dependency directories are computed against it). Patterns follow
+// go-tool conventions: "./..." walks recursively, "dir/..." walks a
+// subtree, and a plain directory names a single package. A directory under testdata may be named explicitly even
+// though "..." walks skip it — that is how fixtures are linted. A parse or
+// type error in a named package or a dependency is returned, with its
+// position.
 func Load(root string, patterns []string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -81,6 +84,7 @@ func Load(root string, patterns []string) ([]*Package, error) {
 
 	var pkgs []*Package
 	fset := token.NewFileSet()
+	tc := &typeChecker{fset: fset, root: root, byPath: make(map[string]*Package), checking: make(map[string]bool)}
 	for _, dir := range dirs {
 		p, err := parseDir(fset, root, dir)
 		if err != nil {
@@ -88,21 +92,20 @@ func Load(root string, patterns []string) ([]*Package, error) {
 		}
 		if p != nil {
 			pkgs = append(pkgs, p)
+			tc.byPath[p.ImportPath] = p
 		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].RelPath < pkgs[j].RelPath })
 
-	global := NewGlobalIndex(pkgs)
 	for _, p := range pkgs {
-		p.Global = global
-		NewIndex(p)
+		if err := tc.check(p); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
 		p.buildIgnores()
 	}
-	// The typed layer: best-effort go/types over the whole load, then the
-	// shared program view for cross-package passes. Packages that fail to
-	// type-check keep TypesInfo nil and fall back to the heuristic index.
-	typeCheckAll(fset, pkgs)
-	prog := &program{fset: fset, pkgs: pkgs}
+	// The shared program view spans the dependencies too, so cross-package
+	// passes follow calls into them.
+	prog := &program{fset: fset, pkgs: append(append([]*Package(nil), pkgs...), tc.deps...)}
 	for _, p := range pkgs {
 		p.prog = prog
 	}

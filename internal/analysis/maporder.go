@@ -28,7 +28,7 @@ func runMapOrder(p *Package) []Diagnostic {
 	p.walkNonTest(func(_ int, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rg, ok := n.(*ast.RangeStmt)
-			if !ok || !p.mapOperand(rg.X) {
+			if !ok || !p.isMap(rg.X) {
 				return true
 			}
 			if why := orderDependent(rg.Body); why != "" {
@@ -41,34 +41,6 @@ func runMapOrder(p *Package) []Diagnostic {
 	return out
 }
 
-// mapOperand resolves whether the ranged expression is a map, typed where
-// available.
-func (p *Package) mapOperand(e ast.Expr) bool {
-	if isMap, ok := p.typedMap(e); ok {
-		return isMap
-	}
-	return p.isMapExpr(e)
-}
-
-// isMapExpr reports whether the ranged expression is recognizably a map:
-// a map literal, a make(map...), or a name/field the index knows to be
-// map-typed.
-func (p *Package) isMapExpr(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
-	case *ast.CompositeLit:
-		return isMapType(e.Type)
-	case *ast.Ident:
-		return p.Index.MapNames[e.Name]
-	case *ast.SelectorExpr:
-		return p.Index.MapNames[e.Sel.Name]
-	case *ast.CallExpr:
-		if fn, ok := unparen(e.Fun).(*ast.Ident); ok && fn.Name == "make" && len(e.Args) > 0 {
-			return isMapType(e.Args[0])
-		}
-	}
-	return false
-}
-
 // orderDependent reports what makes the loop body depend on iteration
 // order ("" if nothing found): appending to a slice or emitting output.
 func orderDependent(body *ast.BlockStmt) string {
@@ -79,7 +51,7 @@ func orderDependent(body *ast.BlockStmt) string {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			switch fn := unparen(n.Fun).(type) {
+			switch fn := ast.Unparen(n.Fun).(type) {
 			case *ast.Ident:
 				if fn.Name == "append" {
 					why = "append"

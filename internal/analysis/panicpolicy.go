@@ -30,7 +30,7 @@ func runPanicPolicy(p *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			fn, ok := unparen(call.Fun).(*ast.Ident)
+			fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
 			if !ok || fn.Name != "panic" || len(call.Args) != 1 {
 				return true
 			}
@@ -51,7 +51,7 @@ func runPanicPolicy(p *Package) []Diagnostic {
 // prefixedMessage reports whether the panic argument is recognizably a
 // "<pkg>: "-prefixed message.
 func prefixedMessage(arg ast.Expr, prefix string) bool {
-	switch arg := unparen(arg).(type) {
+	switch arg := ast.Unparen(arg).(type) {
 	case *ast.BasicLit:
 		if arg.Kind != token.STRING {
 			return false
@@ -63,7 +63,7 @@ func prefixedMessage(arg ast.Expr, prefix string) bool {
 		return arg.Op == token.ADD && prefixedMessage(arg.X, prefix)
 	case *ast.CallExpr:
 		// fmt.Sprintf("pkg: ...", ...) / fmt.Errorf("pkg: ...", ...).
-		sel, ok := unparen(arg.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(arg.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return false
 		}

@@ -8,21 +8,20 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
-// The typed layer. Load attempts to type-check every package it parsed
-// using stdlib go/types: repo-internal imports resolve against the other
-// packages of the same load, standard-library imports are type-checked
-// from GOROOT source by a shared go/importer "source"-mode importer (no
-// compiled export data, no external tooling, works offline on any box
-// with a Go toolchain). Type-checking is strictly best-effort: a package
-// that fails — a golden fixture with deliberate type errors, a partial
-// load whose dependencies were not named, a stdlib package the source
-// importer cannot process — keeps TypesInfo nil and every analyzer falls
-// back to the PR-1 syntactic heuristics for it. Analyzers therefore never
-// assume types; they ask the typed helpers below, which degrade
-// gracefully.
+// The typed layer. Load type-checks every package it names with stdlib
+// go/types. A repo import resolves to a sibling package of the load or,
+// when the patterns left it out, to the directory it names under the same
+// module root, parsed and type-checked on demand as a dependency: its
+// functions join the call graph, but analyzers report only on the named
+// packages. Standard-library imports are type-checked from GOROOT source
+// by a shared go/importer "source"-mode importer (no compiled export data,
+// no external tooling, works offline on any box with a Go toolchain). A
+// parse or type error in a named package or a repo dependency is a load
+// error, so every analyzed package carries full type information.
 
 // stdImporterState is the process-wide source importer for standard
 // library packages. It is shared across Load calls so the (substantial,
@@ -48,62 +47,60 @@ func stdlibImport(path string) (*types.Package, error) {
 
 // typeChecker type-checks one load's packages in dependency order. It is
 // the types.Importer handed to go/types: repo import paths resolve to
-// sibling packages (checking them on demand), everything else goes to the
-// shared stdlib importer.
+// packages of the load, parsing and checking dependencies on demand;
+// everything else goes to the shared stdlib importer.
 type typeChecker struct {
 	fset   *token.FileSet
+	root   string
 	byPath map[string]*Package
-	// state guards against import cycles: 0 unseen, 1 in progress, 2 done.
-	state map[string]int
-}
-
-// typeCheckAll annotates every package with TypesPkg/TypesInfo, or
-// records TypeErr and leaves them nil when checking fails.
-func typeCheckAll(fset *token.FileSet, pkgs []*Package) {
-	tc := &typeChecker{
-		fset:   fset,
-		byPath: make(map[string]*Package, len(pkgs)),
-		state:  make(map[string]int, len(pkgs)),
-	}
-	for _, p := range pkgs {
-		tc.byPath[p.ImportPath] = p
-	}
-	for _, p := range pkgs {
-		//acqlint:ignore errdrop best-effort by design: the error is recorded on p.TypeErr and the package falls back to syntactic mode
-		tc.check(p)
-	}
+	// deps are the repo packages loaded on demand, in load order.
+	deps []*Package
+	// checking marks packages whose check is in progress, to report
+	// import cycles.
+	checking map[string]bool
 }
 
 func (tc *typeChecker) Import(path string) (*types.Package, error) {
-	if p, ok := tc.byPath[path]; ok {
-		if err := tc.check(p); err != nil {
+	if !isRepoImport(path) {
+		return stdlibImport(path)
+	}
+	p, ok := tc.byPath[path]
+	if !ok {
+		dir := filepath.Join(tc.root, filepath.FromSlash(strings.TrimPrefix(path, modulePath)))
+		var err error
+		if p, err = parseDir(tc.fset, tc.root, dir); err != nil {
 			return nil, err
 		}
-		return p.TypesPkg, nil
+		if p == nil {
+			return nil, fmt.Errorf("no Go files in %s", dir)
+		}
+		tc.byPath[path] = p
+		tc.deps = append(tc.deps, p)
 	}
-	if isRepoImport(path) {
-		// A repo package outside this load (partial pattern): do not let
-		// the stdlib importer hunt for it in GOPATH.
-		return nil, fmt.Errorf("package %s is not part of this load", path)
+	if err := tc.check(p); err != nil {
+		return nil, err
 	}
-	return stdlibImport(path)
+	return p.TypesPkg, nil
 }
 
+// check type-checks p's non-test files once. A failure aborts the whole
+// load, so a package whose check failed is never asked for again.
 func (tc *typeChecker) check(p *Package) error {
-	switch tc.state[p.ImportPath] {
-	case 2:
-		return p.TypeErr
-	case 1:
+	if p.TypesPkg != nil {
+		return nil
+	}
+	if tc.checking[p.ImportPath] {
 		return fmt.Errorf("import cycle through %s", p.ImportPath)
 	}
-	tc.state[p.ImportPath] = 1
-	defer func() { tc.state[p.ImportPath] = 2 }()
+	tc.checking[p.ImportPath] = true
+	defer delete(tc.checking, p.ImportPath)
 
 	// Honor build constraints for the type-check file set: the parser keeps
 	// every file (so syntactic analyzers still see both halves of a
 	// //go:build pair), but type-checking both race_on.go and race_off.go
 	// would redeclare their shared names. Files the default build context
-	// excludes simply carry no type information.
+	// excludes simply carry no type information. A directory holding only
+	// test files checks as an empty package.
 	var files []*ast.File
 	p.walkNonTest(func(_ int, f *ast.File) {
 		name := tc.fset.Position(f.Package).Filename
@@ -112,10 +109,6 @@ func (tc *typeChecker) check(p *Package) error {
 		}
 		files = append(files, f)
 	})
-	if len(files) == 0 {
-		p.TypeErr = fmt.Errorf("no non-test files in %s", p.ImportPath)
-		return p.TypeErr
-	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -127,9 +120,6 @@ func (tc *typeChecker) check(p *Package) error {
 	conf := types.Config{Importer: tc}
 	tpkg, err := conf.Check(p.ImportPath, tc.fset, files, info)
 	if err != nil {
-		// All or nothing: partial type information would make analyzer
-		// behavior depend on *where* checking failed. Fall back cleanly.
-		p.TypeErr = err
 		return err
 	}
 	p.TypesPkg, p.TypesInfo = tpkg, info
@@ -137,21 +127,17 @@ func (tc *typeChecker) check(p *Package) error {
 }
 
 // calleeOf resolves the statically-called function or method of a call
-// expression, nil when the package is untyped or the call is dynamic (a
-// func-typed variable, field, or parameter — exactly the injected escape
-// hatches detflow treats as sanitized). Generic instantiations resolve to
-// their origin.
+// expression, nil when the call is dynamic (a func-typed variable, field,
+// or parameter — exactly the injected escape hatches detflow treats as
+// sanitized). Generic instantiations resolve to their origin.
 func (p *Package) calleeOf(call *ast.CallExpr) *types.Func {
-	if p.TypesInfo == nil {
-		return nil
-	}
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	// Unwrap explicit instantiations: f[int](x).
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
-		fun = unparen(ix.X)
+		fun = ast.Unparen(ix.X)
 	case *ast.IndexListExpr:
-		fun = unparen(ix.X)
+		fun = ast.Unparen(ix.X)
 	}
 	var obj types.Object
 	switch fn := fun.(type) {
@@ -172,33 +158,24 @@ func isRepoObject(obj types.Object) bool {
 	return obj != nil && obj.Pkg() != nil && isRepoImport(obj.Pkg().Path())
 }
 
-// typedFloat classifies an expression as float-kinded under full type
-// information; ok is false when the package is untyped and the caller
-// should fall back to the heuristic index.
-func (p *Package) typedFloat(e ast.Expr) (isFloat, ok bool) {
-	if p.TypesInfo == nil {
-		return false, false
-	}
+// isFloat reports whether an expression is float-kinded.
+func (p *Package) isFloat(e ast.Expr) bool {
 	tv, found := p.TypesInfo.Types[e]
 	if !found || tv.Type == nil {
-		return false, true
+		return false
 	}
 	b, isBasic := tv.Type.Underlying().(*types.Basic)
-	return isBasic && b.Info()&types.IsFloat != 0, true
+	return isBasic && b.Info()&types.IsFloat != 0
 }
 
-// typedMap classifies an expression as map-typed under full type
-// information; ok is false when the package is untyped.
-func (p *Package) typedMap(e ast.Expr) (isMap, ok bool) {
-	if p.TypesInfo == nil {
-		return false, false
-	}
+// isMap reports whether an expression is map-typed.
+func (p *Package) isMap(e ast.Expr) bool {
 	tv, found := p.TypesInfo.Types[e]
 	if !found || tv.Type == nil {
-		return false, true
+		return false
 	}
 	_, isM := tv.Type.Underlying().(*types.Map)
-	return isM, true
+	return isM
 }
 
 // errorType is the universe error interface, for signature checks.
@@ -216,4 +193,11 @@ func lastResultIsError(fn *types.Func) bool {
 		return false
 	}
 	return types.Identical(res.At(res.Len()-1).Type(), errorType)
+}
+
+// modulePath is the import-path prefix identifying this repo's packages.
+const modulePath = "acqp"
+
+func isRepoImport(path string) bool {
+	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
 }

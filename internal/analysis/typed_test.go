@@ -7,51 +7,88 @@ import (
 	"testing"
 )
 
-// findPkg returns the loaded package whose RelPath ends with suffix.
-func findPkg(t *testing.T, pkgs []*Package, suffix string) *Package {
-	t.Helper()
-	for _, p := range pkgs {
-		if p.RelPath == suffix || strings.HasSuffix(p.RelPath, "/"+suffix) {
-			return p
-		}
-	}
-	t.Fatalf("package %q not in load", suffix)
-	return nil
-}
-
-// TestTypedFallback pins the all-or-nothing contract: a package that
-// fails type-checking keeps TypesInfo nil (and records why), while its
-// siblings in the same load stay fully typed — and, per the golden test,
-// its syntactic diagnostics still fire.
-func TestTypedFallback(t *testing.T) {
-	pkgs, _ := loadFixtures(t)
-	broken := findPkg(t, pkgs, "brokentyped")
-	if broken.TypesInfo != nil || broken.TypesPkg != nil {
-		t.Errorf("brokentyped type-checked; its fixture type error went undetected")
-	}
-	if broken.TypeErr == nil || !strings.Contains(broken.TypeErr.Error(), "missingType") {
-		t.Errorf("brokentyped TypeErr = %v, want the missingType failure", broken.TypeErr)
-	}
-	for _, suffix := range []string{"detfix", "ctxfix", "errfix"} {
-		if p := findPkg(t, pkgs, suffix); p.TypesInfo == nil {
-			t.Errorf("%s lost type information (TypeErr: %v); one broken package must not degrade the load", suffix, p.TypeErr)
-		}
-	}
-}
-
-// TestPurePackagesTyped guards detflow's coverage: the taint pass only
-// sees type-checked packages, so every declared-pure package (and every
-// package they pull in) must type-check when the repo tree is loaded. A
-// regression here would silence detflow without failing any fixture.
-func TestPurePackagesTyped(t *testing.T) {
-	pkgs, err := Load(filepath.Join("..", ".."), []string{"./..."})
+// TestPartialLoadMatchesFull pins that a package's diagnostics do not
+// depend on which other packages were named: repo imports outside the
+// patterns load as typed dependencies, so linting a subset reports
+// exactly what the full run reports for that subset.
+func TestPartialLoadMatchesFull(t *testing.T) {
+	repo := filepath.Join("..", "..")
+	full, err := Load(repo, []string{"./..."})
 	if err != nil {
-		t.Fatalf("Load repo: %v", err)
+		t.Fatalf("Load ./...: %v", err)
 	}
-	for _, p := range pkgs {
-		if p.TypesInfo == nil {
-			t.Errorf("%s fell back to syntactic mode: %v", p.ImportPath, p.TypeErr)
+	render := func(pkgs []*Package) string {
+		var b strings.Builder
+		for _, d := range RunAll(pkgs, Analyzers()) {
+			b.WriteString(d.String())
+			b.WriteByte('\n')
 		}
+		return b.String()
+	}
+	for _, patterns := range [][]string{
+		{"internal/serve"},
+		{"internal/stats"},
+		{"internal/model"},
+		{"internal/opt", "internal/stats"},
+		{"internal/..."},
+		{"cmd/..."},
+		{"bench"},
+	} {
+		partial, err := Load(repo, patterns)
+		if err != nil {
+			t.Errorf("Load %v: %v", patterns, err)
+			continue
+		}
+		named := make(map[string]bool)
+		for _, p := range partial {
+			named[p.RelPath] = true
+			if p.TypesInfo == nil {
+				t.Errorf("%v: %s carries no type information", patterns, p.RelPath)
+			}
+		}
+		var subset []*Package
+		for _, p := range full {
+			if named[p.RelPath] {
+				subset = append(subset, p)
+			}
+		}
+		if len(subset) != len(partial) {
+			t.Errorf("%v: loaded %d packages, the full load has %d of them", patterns, len(partial), len(subset))
+		}
+		if got, want := render(partial), render(subset); got != want {
+			t.Errorf("%v: partial run differs from the full run\npartial:\n%sfull:\n%s", patterns, got, want)
+		}
+	}
+}
+
+// TestTypeErrorIsLoadError pins that a type error, in a named package or
+// in a repo dependency loaded on demand, fails the load with its
+// position, while a directory of test files alone still loads.
+func TestTypeErrorIsLoadError(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"a/a.go":      "package a\n\nimport \"acqp/b\"\n\nvar X = b.Y\n",
+		"b/b.go":      "package b\n\nvar Y int = \"not an int\"\n",
+		"c/c_test.go": "package c\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pat := range []string{"a", "b"} {
+		_, err := Load(root, []string{pat})
+		if err == nil || !strings.Contains(err.Error(), filepath.Join("b", "b.go")+":3:13") {
+			t.Errorf("Load %s: err = %v, want the type error at b/b.go:3:13", pat, err)
+		}
+	}
+	pkgs, err := Load(root, []string{"c"})
+	if err != nil || len(pkgs) != 1 || pkgs[0].TypesInfo == nil {
+		t.Errorf("Load of a test-only directory: %d packages, err %v; want one typed package", len(pkgs), err)
 	}
 }
 
@@ -86,7 +123,8 @@ func TestDriverDeterminism(t *testing.T) {
 // TestDetflowMutation is the seeded-mutation acceptance check: copy the
 // planner core (internal/opt and its repo dependency closure) into a
 // scratch tree, introduce a transitive wall-clock read, and require
-// exactly one detflow diagnostic naming the full call path.
+// exactly one detflow diagnostic naming the full call path, whether the
+// whole tree is named or only internal/opt.
 func TestDetflowMutation(t *testing.T) {
 	// go list -deps ./internal/opt, repo packages only.
 	closure := []string{
@@ -132,23 +170,24 @@ func SeedMutation() float64 { return float64(wallClock().Nanosecond()) }
 		t.Fatal(err)
 	}
 
-	pkgs, err := Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("Load mutated tree: %v", err)
-	}
-	if p := findPkg(t, pkgs, "internal/opt"); p.TypesInfo == nil {
-		t.Fatalf("mutated internal/opt fell back to syntactic mode: %v", p.TypeErr)
-	}
-	diags := RunAll(pkgs, []*Analyzer{DetFlow})
-	if len(diags) != 1 {
-		t.Fatalf("got %d detflow diagnostics, want exactly 1:\n%v", len(diags), diags)
-	}
-	const path = "opt.SeedMutation -> opt.wallClock -> time.Now (wall-clock read)"
-	if !strings.Contains(diags[0].Message, path) {
-		t.Errorf("diagnostic does not name the call path %q:\n%s", path, diags[0])
-	}
-	if !strings.HasSuffix(diags[0].Pos.Filename, "zz_mutation.go") {
-		t.Errorf("diagnostic anchored at %s, want the mutated entry point", diags[0].Pos.Filename)
+	// The full tree and a load naming only internal/opt (its closure then
+	// loads as dependencies) must both report the mutation.
+	for _, patterns := range [][]string{{"./..."}, {"internal/opt"}} {
+		pkgs, err := Load(root, patterns)
+		if err != nil {
+			t.Fatalf("Load %v of mutated tree: %v", patterns, err)
+		}
+		diags := RunAll(pkgs, []*Analyzer{DetFlow})
+		if len(diags) != 1 {
+			t.Fatalf("%v: got %d detflow diagnostics, want exactly 1:\n%v", patterns, len(diags), diags)
+		}
+		const path = "opt.SeedMutation -> opt.wallClock -> time.Now (wall-clock read)"
+		if !strings.Contains(diags[0].Message, path) {
+			t.Errorf("%v: diagnostic does not name the call path %q:\n%s", patterns, path, diags[0])
+		}
+		if !strings.HasSuffix(diags[0].Pos.Filename, "zz_mutation.go") {
+			t.Errorf("%v: diagnostic anchored at %s, want the mutated entry point", patterns, diags[0].Pos.Filename)
+		}
 	}
 }
 
