@@ -245,8 +245,8 @@ echo "== trace zero-alloc gate"
 gate_test -run='TestDisabledPathZeroAllocs' -count=1 ./internal/trace
 
 echo "== serve hot-path alloc gate"
-# A fast-path /plan cache hit must serve in at most 8 allocations
-# (pre-serialized response blobs + pooled buffers; see serve/fast.go).
+# A fast-path /v1/plan cache hit must serve in at most 3 allocations
+# (pre-serialized replay slots + pooled buffers; see serve/fast.go).
 # Like the trace gate, it must run without -race.
 gate_test -run='TestServeCacheHitAllocs' -count=1 ./internal/serve
 # A cache miss is one opt.Greedy plan. It ranks candidate splits from a

@@ -9,7 +9,7 @@
 //	        [-pool 16] [-seed 1] [-planner greedy] [-execute]
 //
 // The query pool is generated against the server's own schema (fetched
-// from /stats), so acqload needs no schema flag. A pool much smaller than
+// from /v1/stats), so acqload needs no schema flag. A pool much smaller than
 // clients*requests exercises the plan cache and singleflight; -pool 0
 // makes every request distinct (all cache misses).
 //
@@ -77,7 +77,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload random seed")
 	planner := flag.String("planner", "", "planner to request (empty = server default)")
 	timeoutMS := flag.Int("timeout-ms", 0, "per-request planning deadline to send (0 = server default)")
-	execute := flag.Bool("execute", false, "POST /execute instead of /plan")
+	execute := flag.Bool("execute", false, "POST /v1/execute instead of /v1/plan")
 	maxRetries := flag.Int("max-retries", 3, "retries per request when the server sheds load with 503")
 	targetsFlag := flag.String("targets", "", "comma-separated acqserved base URLs; each request picks a random entry node (overrides -addr)")
 	waitReady := flag.Duration("wait-ready", 0, "poll every target's /readyz until ready, up to this long, before driving load")
@@ -124,9 +124,9 @@ func main() {
 		queries[i] = randomQuery(rng, schema)
 	}
 
-	path := "/plan"
+	path := "/v1/plan"
 	if *execute {
-		path = "/execute"
+		path = "/v1/execute"
 	}
 	var (
 		wg        sync.WaitGroup
@@ -428,10 +428,10 @@ func fetchMetrics(addr string) (map[string]float64, error) {
 	return out, nil
 }
 
-// forceRefresh POSTs a forced /refresh to one node and returns the new
+// forceRefresh POSTs a forced /v1/refresh to one node and returns the new
 // epoch.
 func forceRefresh(target string) (uint64, error) {
-	resp, err := http.Post(target+"/refresh", "application/json", strings.NewReader(`{"force":true}`))
+	resp, err := http.Post(target+"/v1/refresh", "application/json", strings.NewReader(`{"force":true}`))
 	if err != nil {
 		return 0, err
 	}
@@ -441,10 +441,10 @@ func forceRefresh(target string) (uint64, error) {
 		Epoch     uint64 `json:"epoch"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return 0, fmt.Errorf("POST /refresh: %v", err)
+		return 0, fmt.Errorf("POST /v1/refresh: %v", err)
 	}
 	if resp.StatusCode != http.StatusOK || !rr.Refreshed {
-		return 0, fmt.Errorf("POST /refresh: status %d, refreshed=%v", resp.StatusCode, rr.Refreshed)
+		return 0, fmt.Errorf("POST /v1/refresh: status %d, refreshed=%v", resp.StatusCode, rr.Refreshed)
 	}
 	return rr.Epoch, nil
 }
@@ -529,16 +529,16 @@ func fetchSchema(addr string) ([]attrInfo, error) {
 
 func fetchStats(addr string) (statsResponse, error) {
 	var st statsResponse
-	resp, err := http.Get(addr + "/stats")
+	resp, err := http.Get(addr + "/v1/stats")
 	if err != nil {
 		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET /stats: status %d", resp.StatusCode)
+		return st, fmt.Errorf("GET /v1/stats: status %d", resp.StatusCode)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("GET /stats: %v", err)
+		return st, fmt.Errorf("GET /v1/stats: %v", err)
 	}
 	return st, nil
 }

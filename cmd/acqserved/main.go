@@ -17,10 +17,11 @@
 //	          [-chaos-seed 0] [-chaos-drop 0] [-chaos-5xx 0] \
 //	          [-chaos-truncate 0] [-chaos-latency 0]
 //
-// Endpoints: POST /plan, /execute, /ingest, /refresh; GET /stats,
-// /metrics (Prometheus text), /healthz, /readyz. See internal/serve for
-// the request and response schemas. Pass -addr :0 to bind an ephemeral
-// port; the chosen address is printed on the "listening" line.
+// Endpoints: POST /v1/plan, /v1/execute, /v1/ingest, /v1/refresh; GET
+// /v1/stats, /metrics (Prometheus text), /healthz, /readyz. See
+// internal/serve for the request and response schemas. Pass -addr :0 to
+// bind an ephemeral port; the chosen address is printed on the
+// "listening" line.
 //
 // With -peers (or -advertise), the process joins a sharded planning
 // cluster: each canonical query has one rendezvous-hashed shard owner
@@ -68,7 +69,7 @@ func main() {
 	queue := flag.Int("queue", 0, "planning queue depth (0 = 4x workers, negative = none)")
 	timeout := flag.Duration("timeout", 0, "default planning deadline (0 = 2s)")
 	window := flag.Int("window", 0, "sliding statistics window capacity (0 = 4096)")
-	refresh := flag.Duration("refresh", 0, "background drift-check interval (0 = on-demand /refresh only)")
+	refresh := flag.Duration("refresh", 0, "background drift-check interval (0 = on-demand /v1/refresh only)")
 	drift := flag.Float64("drift", 0, "total-variation drift threshold for an epoch bump (0 = 0.05)")
 	parallelism := flag.Int("parallelism", 0, "default planner worker count per request (0 = 1, capped at GOMAXPROCS)")
 	defaultModel := flag.String("model", "", "default statistics backend for requests without a model field: empirical, independent, chowliu, or bn (empty = empirical)")

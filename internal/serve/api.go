@@ -217,7 +217,7 @@ func (s *Server) echoModel(req planRequest, p plannerParams) string {
 	return ""
 }
 
-// handlePlan serves POST /plan.
+// handlePlan serves POST /v1/plan.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -292,7 +292,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Trace:        out.traceSnap,
 	}
 	writeJSON(w, http.StatusOK, resp)
-	s.maybeInstallFast(raw, req, p, resp, trivial, cached)
+	s.maybeInstallFast(raw, req, p, canon, resp)
 }
 
 // requestOutcome classifies one answered request for the per-endpoint
@@ -398,7 +398,7 @@ func (s *Server) execTraceFor(node *plan.Node, prof *trace.ExecProfile, predicte
 	return rep
 }
 
-// handleExecute serves POST /execute: plan (through the cache) and run
+// handleExecute serves POST /v1/execute: plan (through the cache) and run
 // the plan over the sliding window's tuples with full acquisition
 // metering.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -539,7 +539,7 @@ type ingestResponse struct {
 	Epoch        uint64 `json:"epoch"`
 }
 
-// handleIngest serves POST /ingest.
+// handleIngest serves POST /v1/ingest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -592,7 +592,7 @@ type refreshResponse struct {
 	Purged    int     `json:"purged"`
 }
 
-// handleRefresh serves POST /refresh: an on-demand drift check.
+// handleRefresh serves POST /v1/refresh: an on-demand drift check.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -628,7 +628,7 @@ type attrInfo struct {
 	Cost float64 `json:"cost"`
 }
 
-// handleStats serves GET /stats.
+// handleStats serves GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")

@@ -30,7 +30,7 @@ func newBenchServer(b *testing.B) *Server {
 
 func benchPost(b *testing.B, srv *Server, body string) {
 	b.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader([]byte(body)))
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader([]byte(body)))
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -113,9 +113,9 @@ func (h *hotRequest) do(srv *Server) *nullRecorder {
 
 // BenchmarkServeCacheHit measures the repeated-request hot path: after
 // the first two requests (one plans and fills the plan cache, the next
-// installs the pre-serialized fast-path blob), every request is
-// answered from the fast cache in ServeHTTP — no mux, no JSON decode,
-// no SQL parse, no JSON encode.
+// fills the entry's replay slot with the pre-serialized answer), every
+// request is replayed from that slot in ServeHTTP — no mux, no JSON
+// decode, no SQL parse, no JSON encode.
 func BenchmarkServeCacheHit(b *testing.B) {
 	srv := newBenchServer(b)
 	hot := newHotRequest("/v1/plan", `{"sql":"SELECT * WHERE temp > 7 AND light > 11"}`)

@@ -3,89 +3,27 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"acqp/internal/query"
 )
 
-// The serve hot path. A cache-hit /plan request repeats byte-for-byte —
-// same body, same canonical query, same epoch — yet the regular path
-// re-pays the mux walk, JSON decode, SQL parse, canonicalization, and
-// JSON encode on every repeat. The fast cache short-circuits all of it:
-// the first cache-hit answer is serialized once, and subsequent requests
-// with identical body bytes replay the stored blob with only the
-// per-request fields (elapsed_ms, request_id) spliced in, from pooled
-// buffers, in near-zero allocations.
+// The serve hot path. A cache-hit /v1/plan request repeats byte for
+// byte, yet the regular path re-pays the mux walk, JSON decode, SQL
+// parse, canonicalization, and JSON encode on every repeat. The replay
+// slot of its plan-cache entry (cache.go) holds the answer serialized
+// once; a request with identical body bytes replays it with only
+// elapsed_ms and request_id spliced in, from pooled buffers.
 //
-// Entries are installed only for answers that are a pure function of
-// (body bytes, statistics epoch): standalone server, no fault what-if,
-// no trace section, cache not bypassed, outcome not degraded or shared.
-// Staleness is handled the same way as the plan cache — each entry
-// records the epoch it was built at, a mismatch at lookup drops it, and
-// a refresh that bumps the epoch purges the whole map.
-
-// fastEntry is one pre-serialized /plan response. prefix holds the JSON
-// object up to (excluding) the ",\"elapsed_ms\":" member; the writer
-// appends the measured elapsed time and the request ID per request.
-type fastEntry struct {
-	epoch    uint64
-	prefix   []byte
-	countHit bool // a replay counts as a plan-cache hit in /metrics
-	outcome  int  // latency-ring outcome the slow path would record
-}
-
-// fastCache maps exact request-body bytes to pre-serialized responses.
-// Lookups take the read lock and index with a []byte-to-string
-// conversion the compiler elides, so the hit path does not allocate.
-type fastCache struct {
-	mu      sync.RWMutex
-	max     int
-	entries map[string]*fastEntry
-}
-
-func newFastCache(max int) *fastCache {
-	return &fastCache{max: max, entries: make(map[string]*fastEntry)}
-}
-
-// get returns the live entry for body at epoch; an entry built under
-// another epoch is dropped so the slow path can rebuild it.
-func (c *fastCache) get(body []byte, epoch uint64) *fastEntry {
-	c.mu.RLock()
-	e := c.entries[string(body)]
-	c.mu.RUnlock()
-	if e == nil {
-		return nil
-	}
-	if e.epoch != epoch {
-		c.mu.Lock()
-		if c.entries[string(body)] == e {
-			delete(c.entries, string(body))
-		}
-		c.mu.Unlock()
-		return nil
-	}
-	return e
-}
-
-// add installs an entry unless the cache is full (replacing an existing
-// key is always allowed, so epoch turnover cannot brick a hot body).
-func (c *fastCache) add(body []byte, e *fastEntry) {
-	c.mu.Lock()
-	if len(c.entries) < c.max || c.entries[string(body)] != nil {
-		c.entries[string(body)] = e
-	}
-	c.mu.Unlock()
-}
-
-// purge drops every entry; called when the statistics epoch advances.
-func (c *fastCache) purge() {
-	c.mu.Lock()
-	c.entries = make(map[string]*fastEntry)
-	c.mu.Unlock()
-}
+// Slots are filled only for answers that are a pure function of (body
+// bytes, statistics epoch): standalone server, planned cache hit, no
+// fault what-if, no trace section, cache not bypassed, outcome not
+// degraded or shared. Eviction and the epoch purge end a slot with its
+// entry, and a lookup refuses a slot built under another epoch.
 
 // fastScratch is the request-scoped buffer set for the fast path: the
 // body read buffer, the response assembly buffer, and the generated
@@ -105,29 +43,25 @@ var fastScratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-// Preallocated header values shared across responses; handlers must
-// never mutate header value slices, so sharing is safe.
-var (
-	headerJSON        = []string{"application/json"}
-	headerDeprecation = []string{"true"}
-	planAliasLink     = []string{`</v1/plan>; rel="successor-version"`}
-)
+// headerJSON is the Content-Type value shared across replayed responses;
+// handlers never mutate header value slices, so sharing is safe.
+var headerJSON = []string{"application/json"}
 
-// serveFast answers a POST /v1/plan (or legacy /plan alias) request
-// whose exact body bytes hit the pre-serialized response cache. A false
-// return means the request must take the regular path; the consumed
-// body bytes have then been stitched back onto r.Body, so the regular
-// handlers see the request untouched.
+// serveFast answers a POST /v1/plan request whose exact body bytes fill
+// a plan-cache entry's replay slot. A false return means the request
+// must take the regular path; the consumed body bytes have then been
+// stitched back onto r.Body, so the regular handlers see the request
+// untouched.
 func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Time) bool {
 	sc := fastScratchPool.Get().(*fastScratch)
 	body, rerr := readBody(sc.body[:0], r.Body, maxBodyBytes)
 	sc.body = body
 	id := r.Header.Get("X-Request-Id")
-	var e *fastEntry
+	var prefix []byte
 	if rerr == nil && len(body) <= maxBodyBytes && jsonSafe(id) {
-		e = s.fast.get(body, s.Epoch())
+		prefix = s.cache.replay(body, s.Epoch())
 	}
-	if e == nil {
+	if prefix == nil {
 		// Miss: replay the consumed bytes (plus the unread remainder of an
 		// oversized body, or the read error) for the regular handler.
 		replay := io.Reader(bytes.NewReader(append([]byte(nil), body...)))
@@ -147,12 +81,8 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 	}
 	h := w.Header()
 	h["X-Request-Id"] = []string{id}
-	if r.URL.Path == "/plan" {
-		h["Deprecation"] = headerDeprecation
-		h["Link"] = planAliasLink
-	}
 	h["Content-Type"] = headerJSON
-	out := append(sc.out[:0], e.prefix...)
+	out := append(sc.out[:0], prefix...)
 	out = append(out, `,"elapsed_ms":`...)
 	out = strconv.AppendFloat(out, float64(time.Since(start))/float64(time.Millisecond), 'f', -1, 64)
 	out = append(out, `,"request_id":"`...)
@@ -160,38 +90,27 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 	out = append(out, '"', '}', '\n')
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(out)
-	if e.countHit {
-		count(&s.metrics.cacheHits, 1)
-	}
-	s.metrics.recordRequest(epPlan, e.outcome, time.Since(start))
+	count(&s.metrics.cacheHits, 1)
+	s.metrics.recordRequest(epPlan, outcomeHit, time.Since(start))
 	s.metrics.inFlight.Add(-1)
-	if s.cfg.AccessLog != nil {
-		fmt.Fprintf(s.cfg.AccessLog, "time=%s request_id=%s method=%s path=%s status=%d bytes=%d dur_ms=%.3f\n",
-			start.UTC().Format(time.RFC3339Nano), id, r.Method, r.URL.Path, http.StatusOK, n,
-			float64(time.Since(start))/float64(time.Millisecond))
-	}
+	s.logAccess(start, id, r, http.StatusOK, n)
 	sc.out = out
 	fastScratchPool.Put(sc)
 	return true
 }
 
-// maybeInstallFast stores a just-served /plan answer in the fast cache
-// when it is a pure function of the body bytes and the epoch. raw is
-// the request body exactly as received.
-func (s *Server) maybeInstallFast(raw []byte, req planRequest, p plannerParams, resp planResponse, trivial, cached bool) {
-	if s.cluster != nil || req.Faults != nil || req.NoCache || p.traced {
-		return
-	}
-	if !cached && !trivial {
+// maybeInstallFast offers a just-served /v1/plan cache hit to its
+// entry's replay slot when the answer is a pure function of the body
+// bytes and the epoch. raw is the request body exactly as received.
+func (s *Server) maybeInstallFast(raw []byte, req planRequest, p plannerParams, canon query.Query, resp planResponse) {
+	if s.cluster != nil || req.Faults != nil || req.NoCache || p.traced || !resp.Cached {
 		return
 	}
 	if resp.Degraded || resp.Shared || resp.Forwarded || resp.Node != "" || resp.Trace != nil {
 		return
 	}
-	blank := resp
-	blank.RequestID = ""
-	blank.ElapsedMS = 0
-	blob, err := json.Marshal(blank)
+	resp.RequestID, resp.ElapsedMS = "", 0
+	blob, err := json.Marshal(resp)
 	if err != nil {
 		return
 	}
@@ -203,16 +122,7 @@ func (s *Server) maybeInstallFast(raw []byte, req planRequest, p plannerParams, 
 	if !bytes.HasSuffix(blob, []byte(tail)) {
 		return
 	}
-	outcome := outcomeMiss // a trivial answer records as a miss, like the slow path
-	if cached {
-		outcome = outcomeHit
-	}
-	s.fast.add(raw, &fastEntry{
-		epoch:    resp.Epoch,
-		prefix:   blob[:len(blob)-len(tail)],
-		countHit: cached,
-		outcome:  outcome,
-	})
+	s.cache.offer(cacheKey(p, canon, resp.Epoch), string(raw), blob[:len(blob)-len(tail)])
 }
 
 // readBody appends the reader's bytes to dst, stopping shortly after

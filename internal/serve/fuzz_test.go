@@ -65,7 +65,7 @@ func FuzzServeRequest(f *testing.F) {
 	}
 	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, req)
 		switch w.Code {

@@ -49,10 +49,7 @@ type metrics struct {
 	// (trace.Counter order).
 	search [8]atomic.Int64
 
-	// lat keeps the planner-run latencies (one sample per planner
-	// invocation, the historical acqserved_plan_latency_ms_* gauges);
 	// requests splits end-to-end request latency by endpoint and outcome.
-	lat      latencyRing
 	requests [numEndpoints][numOutcomes]latencyRing
 }
 
@@ -99,7 +96,7 @@ func (m *metrics) mergeSpan(sp *trace.Span) {
 // Add methods elsewhere in the repository.
 func count(c *atomic.Int64, delta int64) int64 { return c.Add(delta) }
 
-// latencyRing keeps the most recent planning latencies for percentile
+// latencyRing keeps the most recent request latencies for percentile
 // estimation: a fixed ring so memory stays bounded under any load.
 type latencyRing struct {
 	mu      sync.Mutex
@@ -146,7 +143,6 @@ func (m *metrics) hitRate() float64 {
 
 // write renders the counters in Prometheus text exposition format.
 func (m *metrics) write(w io.Writer, epoch uint64, cacheLen, cacheCap int) error {
-	p50, p95, p99 := m.lat.percentiles()
 	lines := []struct {
 		name string
 		val  float64
@@ -171,9 +167,6 @@ func (m *metrics) write(w io.Writer, epoch uint64, cacheLen, cacheCap int) error
 		{"acqserved_cache_entries", float64(cacheLen)},
 		{"acqserved_cache_capacity", float64(cacheCap)},
 		{"acqserved_stats_epoch", float64(epoch)},
-		{"acqserved_plan_latency_ms_p50", p50},
-		{"acqserved_plan_latency_ms_p95", p95},
-		{"acqserved_plan_latency_ms_p99", p99},
 	}
 	for c := trace.Counter(0); int(c) < len(m.search); c++ {
 		lines = append(lines, struct {

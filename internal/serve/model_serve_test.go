@@ -115,10 +115,10 @@ func TestModelRefitOnEpochBump(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{rng.Intn(24), 12 + rng.Intn(4), rng.Intn(4), rng.Intn(16)}
 	}
-	if ing := decodeResp[ingestResponse](t, postJSON(t, srv, "/ingest", ingestRequest{Rows: rows})); ing.Accepted != 2048 {
+	if ing := decodeResp[ingestResponse](t, postJSON(t, srv, "/v1/ingest", ingestRequest{Rows: rows})); ing.Accepted != 2048 {
 		t.Fatalf("ingest accepted %d rows", ing.Accepted)
 	}
-	ref := decodeResp[refreshResponse](t, postJSON(t, srv, "/refresh", refreshRequest{Force: true}))
+	ref := decodeResp[refreshResponse](t, postJSON(t, srv, "/v1/refresh", refreshRequest{Force: true}))
 	if !ref.Refreshed || ref.Epoch != 2 {
 		t.Fatalf("refresh: %+v", ref)
 	}

@@ -233,7 +233,6 @@ func (s *Server) runPlanner(d distEpoch, q query.Query, p plannerParams) (planOu
 		return planOutcome{}, err
 	}
 	elapsed := time.Since(start)
-	s.metrics.lat.record(elapsed)
 	if degraded {
 		count(&s.metrics.degraded, 1)
 	}

@@ -53,7 +53,6 @@ func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint6
 	s.mu.Unlock()
 
 	purged = s.cache.invalidateBefore(epoch)
-	s.fast.purge() // fast-path blobs embed the epoch; all are stale now
 	count(&s.metrics.invalidated, int64(purged))
 	count(&s.metrics.refreshes, 1)
 	// Fitted models were trained on the superseded table; refit the

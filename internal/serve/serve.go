@@ -87,7 +87,7 @@ type Config struct {
 	// WindowSize is the sliding statistics window capacity. Default 4096.
 	WindowSize int
 	// RefreshInterval is the cadence of the background drift check; zero
-	// disables it (refresh then happens only via the /refresh endpoint).
+	// disables it (refresh then happens only via the /v1/refresh endpoint).
 	RefreshInterval time.Duration
 	// DriftThreshold is the total-variation distance (max over
 	// attributes) between the current epoch's distribution and the
@@ -175,7 +175,6 @@ type Server struct {
 
 	cache   *lruCache
 	flight  *flightGroup
-	fast    *fastCache
 	jobs    chan func()
 	wg      sync.WaitGroup // workers + refresher
 	metrics metrics
@@ -250,29 +249,17 @@ func New(cfg Config) (*Server, error) {
 		window:     win,
 		cache:      newLRUCache(cfg.CacheSize),
 		flight:     newFlightGroup(),
-		fast:       newFastCache(cfg.CacheSize),
 		jobs:       make(chan func(), cfg.QueueDepth),
 		started:    time.Now(),
 	}
 	s.fastIDPrefix = idPrefix(s.started)
 	s.mux = http.NewServeMux()
-	// The API is versioned under /v1/. The original unversioned paths
-	// remain as aliases so existing clients keep working, but every alias
-	// response carries a Deprecation header (draft-ietf-httpapi-deprecation
-	// style) pointing at the successor route.
-	for _, rt := range []struct {
-		path string
-		h    http.HandlerFunc
-	}{
-		{"/plan", s.handlePlan},
-		{"/execute", s.handleExecute},
-		{"/ingest", s.handleIngest},
-		{"/refresh", s.handleRefresh},
-		{"/stats", s.handleStats},
-	} {
-		s.mux.HandleFunc("/v1"+rt.path, rt.h)
-		s.mux.HandleFunc(rt.path, deprecatedAlias("/v1"+rt.path, rt.h))
-	}
+	// The API is versioned under /v1/; the operational endpoints are not.
+	s.mux.HandleFunc("/v1/plan", s.handlePlan)
+	s.mux.HandleFunc("/v1/execute", s.handleExecute)
+	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
+	s.mux.HandleFunc("/v1/refresh", s.handleRefresh)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -345,13 +332,12 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 // response bodies, and stamps the structured access-log line when
 // Config.AccessLog is set.
 //
-// Standalone /plan requests first consult the fast-path response cache
-// (fast.go): a body that byte-matches a previously served deterministic
-// answer is replayed from its pre-serialized blob without touching the
-// mux, the JSON decoder, or the SQL parser.
+// Standalone /v1/plan requests first consult the plan cache's replay
+// slots (fast.go): a body that byte-matches a previously served
+// deterministic answer is replayed from its pre-serialized blob without
+// touching the mux, the JSON decoder, or the SQL parser.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil && r.Method == http.MethodPost &&
-		(r.URL.Path == "/v1/plan" || r.URL.Path == "/plan") {
+	if s.cluster == nil && r.Method == http.MethodPost && r.URL.Path == "/v1/plan" {
 		if s.serveFast(w, r, time.Now()) {
 			return
 		}
@@ -369,20 +355,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
 	s.mux.ServeHTTP(rec, req)
-	fmt.Fprintf(s.cfg.AccessLog, "time=%s request_id=%s method=%s path=%s status=%d bytes=%d dur_ms=%.3f\n",
-		start.UTC().Format(time.RFC3339Nano), id, r.Method, r.URL.Path, rec.status, rec.bytes,
-		float64(time.Since(start))/float64(time.Millisecond))
+	s.logAccess(start, id, r, rec.status, rec.bytes)
 }
 
-// deprecatedAlias wraps a handler registered under a legacy unversioned
-// path: the behavior is unchanged, but responses advertise the versioned
-// successor so clients can migrate.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
+// logAccess writes one request's access-log line when Config.AccessLog
+// is set.
+func (s *Server) logAccess(start time.Time, id string, r *http.Request, status, n int) {
+	if s.cfg.AccessLog == nil {
+		return
 	}
+	fmt.Fprintf(s.cfg.AccessLog, "time=%s request_id=%s method=%s path=%s status=%d bytes=%d dur_ms=%.3f\n",
+		start.UTC().Format(time.RFC3339Nano), id, r.Method, r.URL.Path, status, n,
+		float64(time.Since(start))/float64(time.Millisecond))
 }
 
 // Epoch returns the current statistics epoch.

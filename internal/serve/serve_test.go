@@ -151,7 +151,7 @@ func TestConcurrentWorkload(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			order := rng.Perm(len(workload16))
 			for _, qi := range order {
-				w := postJSON(t, srv, "/plan", planRequest{SQL: workload16[qi]})
+				w := postJSON(t, srv, "/v1/plan", planRequest{SQL: workload16[qi]})
 				if w.Code != http.StatusOK {
 					t.Logf("query %q: status %d: %s", workload16[qi], w.Code, w.Body.String())
 					failures.Add(1)
@@ -204,11 +204,11 @@ func TestCanonicalQueriesShareCacheEntries(t *testing.T) {
 	srv := newTestServer(t, nil)
 	defer shutdownServer(t, srv)
 
-	first := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
+	first := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
 	if first.Cached {
 		t.Error("first request reported cached")
 	}
-	second := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE 8 <= temp <= 15"}))
+	second := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE 8 <= temp <= 15"}))
 	if !second.Cached {
 		t.Error("canonically-equal request missed the cache")
 	}
@@ -225,7 +225,7 @@ func TestTrivialAndErrorResponses(t *testing.T) {
 	defer shutdownServer(t, srv)
 
 	// Unsatisfiable: constant-false plan, no planner run.
-	w := postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp < 4 AND temp > 11"})
+	w := postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp < 4 AND temp > 11"})
 	if w.Code != http.StatusOK {
 		t.Fatalf("unsatisfiable: status %d: %s", w.Code, w.Body.String())
 	}
@@ -234,27 +234,27 @@ func TestTrivialAndErrorResponses(t *testing.T) {
 		t.Errorf("unsatisfiable plan not trivial: %+v", resp)
 	}
 	// No WHERE clause: constant-true plan.
-	w = postJSON(t, srv, "/plan", planRequest{SQL: "SELECT temp"})
+	w = postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT temp"})
 	if w.Code != http.StatusOK {
 		t.Fatalf("no-where: status %d: %s", w.Code, w.Body.String())
 	}
 	// Disjunction: 422.
-	w = postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7 OR light < 4"})
+	w = postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7 OR light < 4"})
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Errorf("disjunction: status %d, want 422", w.Code)
 	}
 	// Parse error: 400.
-	w = postJSON(t, srv, "/plan", planRequest{SQL: "SELEKT nothing"})
+	w = postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELEKT nothing"})
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("parse error: status %d, want 400", w.Code)
 	}
 	// Unknown planner: 400.
-	w = postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7", Planner: "quantum"})
+	w = postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7", Planner: "quantum"})
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("unknown planner: status %d, want 400", w.Code)
 	}
 	// Bad JSON body: 400.
-	req := httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader([]byte("{nope")))
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader([]byte("{nope")))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -281,7 +281,7 @@ func TestExhaustiveDeadlineDegrades(t *testing.T) {
 		TimeoutMS:   10,
 	}
 	start := time.Now()
-	w := postJSON(t, srv, "/plan", req)
+	w := postJSON(t, srv, "/v1/plan", req)
 	elapsed := time.Since(start)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -313,7 +313,7 @@ func TestExhaustiveDeadlineDegrades(t *testing.T) {
 	// Degraded outcomes are not cached: a repeat with a long deadline must
 	// run the planner afresh and come back undegraded.
 	req.TimeoutMS = 0
-	resp2 := decodeResp[planResponse](t, postJSON(t, srv, "/plan", req))
+	resp2 := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", req))
 	if resp2.Cached {
 		t.Error("degraded outcome was served from the cache")
 	}
@@ -327,16 +327,16 @@ func TestEpochInvalidationAfterDrift(t *testing.T) {
 	})
 	defer shutdownServer(t, srv)
 
-	first := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
+	first := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
 	if first.Epoch != 1 || first.Cached {
 		t.Fatalf("first plan: epoch %d cached %v", first.Epoch, first.Cached)
 	}
-	if again := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"})); !again.Cached {
+	if again := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"})); !again.Cached {
 		t.Fatal("repeat plan missed the cache")
 	}
 
 	// An unforced refresh with a stationary window must not bump the epoch.
-	noop := decodeResp[refreshResponse](t, postJSON(t, srv, "/refresh", refreshRequest{}))
+	noop := decodeResp[refreshResponse](t, postJSON(t, srv, "/v1/refresh", refreshRequest{}))
 	if noop.Refreshed || noop.Epoch != 1 {
 		t.Fatalf("stationary refresh bumped the epoch: %+v", noop)
 	}
@@ -347,12 +347,12 @@ func TestEpochInvalidationAfterDrift(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{rng.Intn(24), 12 + rng.Intn(4), rng.Intn(4), rng.Intn(16)}
 	}
-	ing := decodeResp[ingestResponse](t, postJSON(t, srv, "/ingest", ingestRequest{Rows: rows}))
+	ing := decodeResp[ingestResponse](t, postJSON(t, srv, "/v1/ingest", ingestRequest{Rows: rows}))
 	if ing.Accepted != 2048 {
 		t.Fatalf("ingest accepted %d rows, want 2048", ing.Accepted)
 	}
 
-	ref := decodeResp[refreshResponse](t, postJSON(t, srv, "/refresh", refreshRequest{}))
+	ref := decodeResp[refreshResponse](t, postJSON(t, srv, "/v1/refresh", refreshRequest{}))
 	if !ref.Refreshed || ref.Epoch != 2 {
 		t.Fatalf("drifted refresh did not bump the epoch: %+v", ref)
 	}
@@ -364,7 +364,7 @@ func TestEpochInvalidationAfterDrift(t *testing.T) {
 	}
 
 	// The same query now plans afresh against the new epoch.
-	fresh := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
+	fresh := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}))
 	if fresh.Cached || fresh.Epoch != 2 {
 		t.Errorf("post-refresh plan: cached %v epoch %d, want fresh at epoch 2", fresh.Cached, fresh.Epoch)
 	}
@@ -374,11 +374,11 @@ func TestIngestValidation(t *testing.T) {
 	srv := newTestServer(t, nil)
 	defer shutdownServer(t, srv)
 
-	w := postJSON(t, srv, "/ingest", ingestRequest{Rows: [][]int{{1, 2, 3}}})
+	w := postJSON(t, srv, "/v1/ingest", ingestRequest{Rows: [][]int{{1, 2, 3}}})
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("short row: status %d, want 400", w.Code)
 	}
-	w = postJSON(t, srv, "/ingest", ingestRequest{Rows: [][]int{{1, 2, 3, 99}}})
+	w = postJSON(t, srv, "/v1/ingest", ingestRequest{Rows: [][]int{{1, 2, 3, 99}}})
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("out-of-domain value: status %d, want 400", w.Code)
 	}
@@ -391,7 +391,7 @@ func TestExecuteEndpoint(t *testing.T) {
 	srv := newTestServer(t, nil)
 	defer shutdownServer(t, srv)
 
-	w := postJSON(t, srv, "/execute", planRequest{SQL: "SELECT * WHERE temp > 7 AND light > 11"})
+	w := postJSON(t, srv, "/v1/execute", planRequest{SQL: "SELECT * WHERE temp > 7 AND light > 11"})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -426,7 +426,7 @@ func TestShedWhenQueueFull(t *testing.T) {
 	}
 	defer close(release)
 
-	w := postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"})
+	w := postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"})
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated pool: status %d, want 503: %s", w.Code, w.Body.String())
 	}
@@ -442,10 +442,10 @@ func TestStatsMetricsHealthz(t *testing.T) {
 	srv := newTestServer(t, nil)
 	defer shutdownServer(t, srv)
 
-	if w := postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}); w.Code != http.StatusOK {
+	if w := postJSON(t, srv, "/v1/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}); w.Code != http.StatusOK {
 		t.Fatalf("plan failed: %s", w.Body.String())
 	}
-	st := decodeResp[statsResponse](t, getPath(t, srv, "/stats"))
+	st := decodeResp[statsResponse](t, getPath(t, srv, "/v1/stats"))
 	if len(st.Schema) != 4 || st.Schema[1].Name != "temp" || st.Epoch != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -507,12 +507,12 @@ func TestCacheEvictionViaServer(t *testing.T) {
 		"SELECT * WHERE humid = 5",
 	}
 	for _, q := range queries {
-		if w := postJSON(t, srv, "/plan", planRequest{SQL: q}); w.Code != http.StatusOK {
+		if w := postJSON(t, srv, "/v1/plan", planRequest{SQL: q}); w.Code != http.StatusOK {
 			t.Fatalf("plan %q: %s", q, w.Body.String())
 		}
 	}
 	// The first query was evicted by the third; replanning it is a miss.
-	resp := decodeResp[planResponse](t, postJSON(t, srv, "/plan", planRequest{SQL: queries[0]}))
+	resp := decodeResp[planResponse](t, postJSON(t, srv, "/v1/plan", planRequest{SQL: queries[0]}))
 	if resp.Cached {
 		t.Error("evicted entry reported as cache hit")
 	}
@@ -573,7 +573,7 @@ func TestShutdownDuringPlanning(t *testing.T) {
 	// Start a slow exhaustive plan, then shut down mid-search.
 	done := make(chan int, 1)
 	go func() {
-		w := postJSON(t, srv, "/plan", planRequest{
+		w := postJSON(t, srv, "/v1/plan", planRequest{
 			SQL:         "SELECT * WHERE temp BETWEEN 4 AND 11 AND light > 7 AND humid < 9 AND hour >= 6",
 			Planner:     "exhaustive",
 			SplitPoints: 16,

@@ -8,7 +8,7 @@ import (
 )
 
 // TestV1RoutesServeAllEndpoints exercises every endpoint through its /v1
-// path and checks the versioned routes carry no deprecation marker.
+// path and checks the unversioned paths are gone.
 func TestV1RoutesServeAllEndpoints(t *testing.T) {
 	srv := newTestServer(t, nil)
 	defer shutdownServer(t, srv)
@@ -17,8 +17,8 @@ func TestV1RoutesServeAllEndpoints(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/v1/plan: %d %s", w.Code, w.Body.String())
 	}
-	if w.Header().Get("Deprecation") != "" {
-		t.Error("/v1/plan carries a Deprecation header")
+	if w := postJSON(t, srv, "/plan", planRequest{SQL: "SELECT * WHERE temp > 7"}); w.Code != http.StatusNotFound {
+		t.Errorf("POST /plan: %d, want 404", w.Code)
 	}
 	if resp := decodeResp[planResponse](t, w); resp.ExpectedCost <= 0 {
 		t.Errorf("/v1/plan expected_cost = %g", resp.ExpectedCost)
@@ -39,49 +39,6 @@ func TestV1RoutesServeAllEndpoints(t *testing.T) {
 	w = getPath(t, srv, "/v1/stats")
 	if w.Code != http.StatusOK {
 		t.Fatalf("/v1/stats: %d %s", w.Code, w.Body.String())
-	}
-}
-
-// TestLegacyAliasesDeprecatedButIdentical pins the compatibility promise:
-// unversioned paths still work, return the same payloads, and advertise
-// their successor via Deprecation/Link headers.
-func TestLegacyAliasesDeprecatedButIdentical(t *testing.T) {
-	srv := newTestServer(t, nil)
-	defer shutdownServer(t, srv)
-
-	body := planRequest{SQL: "SELECT * WHERE temp > 7", NoCache: true}
-	legacy := postJSON(t, srv, "/plan", body)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("/plan: %d %s", legacy.Code, legacy.Body.String())
-	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Errorf("legacy /plan Deprecation header = %q, want \"true\"", legacy.Header().Get("Deprecation"))
-	}
-	if link := legacy.Header().Get("Link"); link != `</v1/plan>; rel="successor-version"` {
-		t.Errorf("legacy /plan Link header = %q", link)
-	}
-	v1 := postJSON(t, srv, "/v1/plan", body)
-	lr := decodeResp[planResponse](t, legacy)
-	vr := decodeResp[planResponse](t, v1)
-	if lr.Plan != vr.Plan || lr.ExpectedCost != vr.ExpectedCost || lr.PlanB64 != vr.PlanB64 {
-		t.Error("legacy and /v1 plan responses differ")
-	}
-
-	for _, path := range []string{"/execute", "/ingest", "/refresh", "/stats"} {
-		var w interface{ Header() http.Header }
-		switch path {
-		case "/stats":
-			w = getPath(t, srv, path)
-		case "/ingest":
-			w = postJSON(t, srv, path, ingestRequest{Rows: [][]int{{0, 0, 0, 0}}})
-		case "/refresh":
-			w = postJSON(t, srv, path, refreshRequest{})
-		default:
-			w = postJSON(t, srv, path, planRequest{SQL: "SELECT * WHERE temp > 7"})
-		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("legacy %s lacks Deprecation header", path)
-		}
 	}
 }
 
