@@ -40,10 +40,11 @@
 #              network backend to plan strictly cheaper than Chow-Liu on
 #              the XOR workload; teed to results/models-bench.txt
 #   alloc gates the trace disabled path (0 allocs), the serve fast-path
-#              cache hit (<= 8 allocs), one greedy plan on the miss path
-#              (<= 1,450 allocs) and one Execute over 4,096 rows (<= 6
-#              allocs), all without -race; every -run gate fails when
-#              its selector matches no test
+#              cache hit (<= 3 allocs), one greedy plan on the miss path
+#              (<= 1,450 allocs), one Execute over 4,096 rows (<= 6
+#              allocs) and one Bayesian-network restriction step with
+#              every posterior (<= 40 allocs), all without -race; every
+#              -run gate fails when its selector matches no test
 #   exec bench the streaming executor's per-tuple cost, teed to
 #              results/exec-bench.txt
 #   benchmarks the serve cache hit/miss paths and the parallel planner,
@@ -258,6 +259,11 @@ gate_test -run='TestGreedyPlanAllocs' -count=1 ./internal/opt
 # fixed handful (<= 6) whatever the row count; a per-tuple or per-node
 # allocation in the plan walker would multiply it.
 gate_test -run='TestExecuteAllocs' -count=1 ./internal/exec
+# The Bayesian network's root, one restriction and the posterior of every
+# attribute on the service-sized lab network allocate at most 40 objects:
+# each posterior runs an elimination program compiled at fit on pooled
+# scratch memory, so a per-call factor or order search would blow it.
+gate_test -run='TestBNInferenceAllocs' -count=1 ./internal/model
 
 echo "== exec benchmark"
 # The streaming executor's per-tuple throughput over the unified

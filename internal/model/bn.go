@@ -16,7 +16,8 @@ import (
 // item 1 and Halford et al. (arXiv:1907.06295) call for. Structure is
 // learned greedily under a BIC/MDL score, CPTs are Laplace-smoothed, and
 // the planners' conditional-probability queries are answered by exact
-// variable elimination over the learned DAG. A Chow-Liu tree is the
+// variable elimination over the learned DAG, compiled at fit into one
+// program per kept attribute (see compile). A Chow-Liu tree is the
 // special case where every node has at most one parent; allowing two (the
 // default) captures exactly the multi-parent interactions a tree cannot
 // represent, such as x2 = x0 XOR x1 where x2 is pairwise independent of
@@ -24,9 +25,15 @@ import (
 type BN struct {
 	s       *schema.Schema
 	rows    float64
-	parents [][]int     // parents[v], ascending; empty for roots
-	order   []int       // topological order (parents before children)
-	cpt     [][]float64 // cpt[v][cfg*K_v + x] = P(X_v = x | parents = cfg)
+	parents [][]int // parents[v], ascending; empty for roots
+	// cpt[v] is P(X_v | parents) over the sorted scope parents ∪ {v},
+	// row-major with the last variable fastest; cptX[v][i] is X_v's value
+	// in cell i.
+	cpt  [][]float64
+	cptX [][]int32
+
+	progs   []veProgram // progs[keep+1], see compile
+	scratch sync.Pool   // *[]float64 sized for every program
 }
 
 const (
@@ -153,28 +160,8 @@ func FitBN(tbl *table.Table, alpha float64, maxParents int) *BN {
 	}
 	m.parents = parents
 
-	// Topological order: Kahn's algorithm, smallest index first so the
-	// order (and everything downstream) is deterministic.
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(parents[v])
-	}
-	for len(m.order) < n {
-		picked := -1
-		for v := 0; v < n; v++ {
-			if indeg[v] == 0 {
-				picked = v
-				break
-			}
-		}
-		m.order = append(m.order, picked)
-		indeg[picked] = -1
-		for _, c := range children[picked] {
-			indeg[c]--
-		}
-	}
-
-	// Smoothed CPTs. A parent configuration with no support (and alpha=0)
+	// Smoothed CPTs over (parents ascending, v last), until compile
+	// re-lays them. A parent configuration with no support (and alpha=0)
 	// gets the uniform row instead of 0/0 = NaN.
 	m.cpt = make([][]float64, n)
 	for v := 0; v < n; v++ {
@@ -212,6 +199,7 @@ func FitBN(tbl *table.Table, alpha float64, maxParents int) *BN {
 		}
 		m.cpt[v] = counts
 	}
+	m.compile()
 	return m
 }
 
@@ -314,46 +302,74 @@ func (m *BN) Root() stats.Cond {
 	return newBNCond(m, masks)
 }
 
-// factor is a dense potential over a sorted list of attribute variables,
-// laid out row-major with the last variable varying fastest.
-type factor struct {
-	vars []int
-	card []int
-	vals []float64
+// veProgram is variable elimination compiled for one kept attribute.
+// The elimination order and every factor's shape depend only on the
+// structure, so they are fixed at fit; a run folds the evidence masks
+// into the CPT factors and executes the steps over offsets into a scratch
+// buffer, where the CPT factors lie first, in attribute order.
+type veProgram struct {
+	steps []veStep
+	final []veFinal // the factors left after elimination, in list order
 }
 
-func newFactor(s *schema.Schema, vars []int) *factor {
-	f := &factor{vars: vars, card: make([]int, len(vars))}
-	size := 1
-	for i, v := range vars {
-		f.card[i] = s.K(v)
-		size *= f.card[i]
-	}
-	f.vals = make([]float64, size)
-	return f
+// veStep is one instruction of a program. A multiply (k == 0) forms
+// out[i] = buf[a+ia[i]] * buf[b+ib[i]] for every cell i of its output; a
+// nil ia reads buf[a+i], the factor at a already spanning the output. A
+// sum-out views its input at a as [outer][k][inner], the eliminated
+// variable in the middle, and sums the inputs of each output cell from
+// zero in ascending input order.
+type veStep struct {
+	a, b, out       int
+	ia, ib          []int32
+	outer, k, inner int
 }
 
-// positions maps each of f's vars to its index in the (sorted) superset
-// vars; every f.var must be present.
-func (f *factor) positions(vars []int) []int {
-	pos := make([]int, len(f.vars))
-	for i, v := range f.vars {
-		for j, w := range vars {
-			if w == v {
-				pos[i] = j
-				break
+// veFinal is a factor over {keep} or, when scalar, over no variable.
+type veFinal struct {
+	off    int
+	scalar bool
+}
+
+// cellIndex returns, for every cell of a factor over scope (row-major,
+// last variable fastest), the index of the cell with the same assignment
+// in a factor laid out row-major over vars, a subset of scope in any
+// order.
+func (m *BN) cellIndex(scope, vars []int) []int32 {
+	stride := make([]int, len(scope))
+	st := 1
+	for i := len(vars) - 1; i >= 0; i-- {
+		for j, w := range scope {
+			if w == vars[i] {
+				stride[j] = st
 			}
 		}
+		st *= m.s.K(vars[i])
 	}
-	return pos
+	out := make([]int32, m.cells(scope))
+	assign := make([]int, len(scope))
+	idx := 0
+	for i := range out {
+		out[i] = int32(idx)
+		// Odometer increment, last variable fastest.
+		for d := len(scope) - 1; d >= 0; d-- {
+			assign[d]++
+			idx += stride[d]
+			if assign[d] < m.s.K(scope[d]) {
+				break
+			}
+			idx -= assign[d] * stride[d]
+			assign[d] = 0
+		}
+	}
+	return out
 }
 
-func (f *factor) at(assign []int, pos []int) float64 {
-	idx := 0
-	for i := range f.vars {
-		idx = idx*f.card[i] + assign[pos[i]]
+func (m *BN) cells(vars []int) int {
+	size := 1
+	for _, w := range vars {
+		size *= m.s.K(w)
 	}
-	return f.vals[idx]
+	return size
 }
 
 func unionSorted(a, b []int) []int {
@@ -377,166 +393,172 @@ func unionSorted(a, b []int) []int {
 	return append(out, b[j:]...)
 }
 
-// multiply returns the product factor over the union of scopes.
-func multiply(s *schema.Schema, a, b *factor) *factor {
-	vars := unionSorted(a.vars, b.vars)
-	out := newFactor(s, vars)
-	posA, posB := a.positions(vars), b.positions(vars)
-	assign := make([]int, len(vars))
-	for i := range out.vals {
-		out.vals[i] = a.at(assign, posA) * b.at(assign, posB)
-		// Odometer increment, last variable fastest.
-		for d := len(vars) - 1; d >= 0; d-- {
-			assign[d]++
-			if assign[d] < out.card[d] {
-				break
-			}
-			assign[d] = 0
-		}
-	}
-	return out
-}
-
-// sumOut marginalizes variable v out of f.
-func sumOut(s *schema.Schema, f *factor, v int) *factor {
-	vars := make([]int, 0, len(f.vars)-1)
-	for _, w := range f.vars {
-		if w != v {
-			vars = append(vars, w)
-		}
-	}
-	out := newFactor(s, vars)
-	posOut := make([]int, len(f.vars)) // f var index -> out assign index (-1 for v)
-	for i, w := range f.vars {
-		posOut[i] = -1
-		for j, o := range vars {
-			if o == w {
-				posOut[i] = j
-				break
-			}
-		}
-	}
-	assign := make([]int, len(f.vars))
-	for i := range f.vals {
-		idx := 0
-		for i2, p := range posOut {
-			if p >= 0 {
-				idx = idx*out.card[p] + assign[i2]
-			}
-		}
-		out.vals[idx] += f.vals[i]
-		for d := len(f.vars) - 1; d >= 0; d-- {
-			assign[d]++
-			if assign[d] < f.card[d] {
-				break
-			}
-			assign[d] = 0
-		}
-	}
-	return out
-}
-
-// ve runs variable elimination with the given per-attribute evidence
-// masks, keeping attribute keep uneliminated (keep < 0 eliminates
-// everything). It returns the unnormalized posterior over keep (nil when
-// keep < 0) and the total evidence mass. The elimination order greedily
-// picks the variable whose elimination produces the smallest resulting
-// factor, breaking ties by smallest attribute index — deterministic and
-// effective on the small, sparse graphs bounded in-degree produces.
-func (m *BN) ve(masks [][]float64, keep int) ([]float64, float64) {
+// compile re-lays each CPT over its sorted scope and fixes one
+// elimination program per keep in {-1, 0, ..., n-1}. The order greedily
+// eliminates the variable whose elimination produces the smallest
+// resulting factor, breaking ties by smallest attribute index —
+// deterministic and effective on the small, sparse graphs bounded
+// in-degree produces. The factors containing it are multiplied left to
+// right in list order, and the sum-out result joins the end of the list.
+func (m *BN) compile() {
 	n := m.s.NumAttrs()
-	factors := make([]*factor, 0, n)
-	scopeAssign := make([]int, 0, n)
+	type slot struct {
+		vars []int
+		off  int
+	}
+	cpts := make([]slot, n)
+	m.cptX = make([][]int32, n)
+	off := 0
 	for v := 0; v < n; v++ {
 		scope := sortedWith(m.parents[v], v)
-		f := newFactor(m.s, scope)
-		// The CPT is laid out over (parents ascending, v last); re-index
-		// into the sorted scope.
-		cptVars := append(append([]int(nil), m.parents[v]...), v)
-		cptCard := make([]int, len(cptVars))
-		for i, w := range cptVars {
-			cptCard[i] = m.s.K(w)
+		fit := m.cellIndex(scope, append(append([]int(nil), m.parents[v]...), v))
+		cpt := make([]float64, len(fit))
+		for i, j := range fit {
+			cpt[i] = m.cpt[v][j]
 		}
-		pos := make([]int, len(cptVars)) // cpt var index -> scope index
-		for i, w := range cptVars {
-			for j, sv := range scope {
-				if sv == w {
-					pos[i] = j
-					break
-				}
-			}
-		}
-		assign := make([]int, len(cptVars))
-		scopeAssign = scopeAssign[:len(scope)]
-		for i := range m.cpt[v] {
-			for i2, p := range pos {
-				scopeAssign[p] = assign[i2]
-			}
-			idx := 0
-			for j := range scope {
-				idx = idx*f.card[j] + scopeAssign[j]
-			}
-			// Fold v's evidence mask directly into its CPT factor.
-			f.vals[idx] = m.cpt[v][i] * masks[v][assign[len(assign)-1]]
-			for d := len(cptVars) - 1; d >= 0; d-- {
-				assign[d]++
-				if assign[d] < cptCard[d] {
-					break
-				}
-				assign[d] = 0
-			}
-		}
-		factors = append(factors, f)
+		m.cpt[v], m.cptX[v] = cpt, m.cellIndex(scope, []int{v})
+		cpts[v] = slot{scope, off}
+		off += len(cpt)
 	}
-
-	remaining := make([]bool, n)
-	for v := 0; v < n; v++ {
-		remaining[v] = v != keep
-	}
-	for {
-		// Pick the remaining variable with the smallest resulting factor.
-		bestV, bestSize := -1, 0
+	scratch := off
+	m.progs = make([]veProgram, n+1)
+	for keep := -1; keep < n; keep++ {
+		p := &m.progs[keep+1]
+		next := off
+		newSlot := func(vars []int) slot {
+			sl := slot{vars, next}
+			next += m.cells(vars)
+			return sl
+		}
+		factors := append([]slot(nil), cpts...)
+		remaining := make([]bool, n)
 		for v := 0; v < n; v++ {
-			if !remaining[v] {
+			remaining[v] = v != keep
+		}
+		for {
+			bestV, bestSize := -1, 0
+			for v := 0; v < n; v++ {
+				if !remaining[v] {
+					continue
+				}
+				scope := []int{}
+				for _, f := range factors {
+					if containsInt(f.vars, v) {
+						scope = unionSorted(scope, f.vars)
+					}
+				}
+				if size := m.cells(scope) / m.s.K(v); bestV < 0 || size < bestSize {
+					bestV, bestSize = v, size
+				}
+			}
+			if bestV < 0 {
+				break
+			}
+			remaining[bestV] = false
+			var prod *slot
+			kept := factors[:0]
+			for _, f := range factors {
+				switch {
+				case !containsInt(f.vars, bestV):
+					kept = append(kept, f)
+				case prod == nil:
+					prod = &slot{f.vars, f.off}
+				default:
+					vars := unionSorted(prod.vars, f.vars)
+					out := newSlot(vars)
+					// Products commute bit for bit, so a factor already
+					// over the whole output goes first and needs no index.
+					a, b := *prod, f
+					if len(b.vars) == len(vars) {
+						a, b = b, a
+					}
+					st := veStep{a: a.off, b: b.off, out: out.off, ib: m.cellIndex(vars, b.vars)}
+					if len(a.vars) != len(vars) {
+						st.ia = m.cellIndex(vars, a.vars)
+					}
+					p.steps = append(p.steps, st)
+					prod = &out
+				}
+			}
+			at := 0
+			for prod.vars[at] != bestV {
+				at++
+			}
+			out := newSlot(append(append([]int(nil), prod.vars[:at]...), prod.vars[at+1:]...))
+			p.steps = append(p.steps, veStep{a: prod.off, out: out.off,
+				outer: m.cells(prod.vars[:at]), k: m.s.K(bestV), inner: m.cells(prod.vars[at+1:])})
+			factors = append(kept, out)
+		}
+		for _, f := range factors {
+			p.final = append(p.final, veFinal{f.off, len(f.vars) == 0})
+		}
+		scratch = max(scratch, next)
+	}
+	m.scratch.New = func() any {
+		buf := make([]float64, scratch)
+		return &buf
+	}
+}
+
+// ve runs the program keeping attribute keep (keep < 0 eliminates
+// everything) under the per-attribute evidence masks. It returns the
+// unnormalized posterior over keep (nil when keep < 0) and the total
+// evidence mass. The elimination order and the product chains depend
+// only on the structure and keep, never on the 0/1 masks, so every cell
+// sees the operands, in the order, that eliminating over factors built
+// for these masks would.
+func (m *BN) ve(masks [][]float64, keep int) ([]float64, float64) {
+	bp := m.scratch.Get().(*[]float64)
+	buf := *bp
+	off := 0
+	for v, cpt := range m.cpt {
+		// Fold v's evidence mask directly into its CPT factor.
+		mask, x, out := masks[v], m.cptX[v], buf[off:off+len(cpt)]
+		off += len(cpt)
+		if allOnes(mask) {
+			copy(out, cpt) // p * 1 == p
+			continue
+		}
+		for i, p := range cpt {
+			out[i] = p * mask[x[i]]
+		}
+	}
+	p := &m.progs[keep+1]
+	for i := range p.steps {
+		st := &p.steps[i]
+		if st.k == 0 {
+			out, a, b := buf[st.out:st.out+len(st.ib)], buf[st.a:], buf[st.b:]
+			if st.ia == nil {
+				for j := range out {
+					out[j] = a[j] * b[st.ib[j]]
+				}
 				continue
 			}
-			scope := []int{}
-			for _, f := range factors {
-				if containsInt(f.vars, v) {
-					scope = unionSorted(scope, f.vars)
+			for j := range out {
+				out[j] = a[st.ia[j]] * b[st.ib[j]]
+			}
+			continue
+		}
+		in, out := buf[st.a:], buf[st.out:st.out+st.outer*st.inner]
+		if st.inner == 1 {
+			for h := range out {
+				sum := 0.0
+				for _, v := range in[h*st.k:][:st.k] {
+					sum += v
+				}
+				out[h] = sum
+			}
+			continue
+		}
+		clear(out)
+		for h := 0; h < st.outer; h++ {
+			o := out[h*st.inner : (h+1)*st.inner]
+			for x := 0; x < st.k; x++ {
+				for l, v := range in[(h*st.k+x)*st.inner:][:st.inner] {
+					o[l] += v
 				}
 			}
-			size := 1
-			for _, w := range scope {
-				if w != v {
-					size *= m.s.K(w)
-				}
-			}
-			if bestV < 0 || size < bestSize {
-				bestV, bestSize = v, size
-			}
 		}
-		if bestV < 0 {
-			break
-		}
-		remaining[bestV] = false
-		var prod *factor
-		kept := factors[:0]
-		for _, f := range factors {
-			if containsInt(f.vars, bestV) {
-				if prod == nil {
-					prod = f
-				} else {
-					prod = multiply(m.s, prod, f)
-				}
-			} else {
-				kept = append(kept, f)
-			}
-		}
-		if prod != nil {
-			kept = append(kept, sumOut(m.s, prod, bestV))
-		}
-		factors = kept
 	}
 
 	// Multiply what remains: factors over {keep} and constants.
@@ -548,16 +570,16 @@ func (m *BN) ve(masks [][]float64, keep int) ([]float64, float64) {
 		}
 	}
 	z := 1.0
-	for _, f := range factors {
-		if len(f.vars) == 0 {
-			z *= f.vals[0]
+	for _, f := range p.final {
+		if f.scalar {
+			z *= buf[f.off]
 			continue
 		}
-		// Scope must be exactly {keep} here.
 		for i := range hist {
-			hist[i] *= f.vals[i]
+			hist[i] *= buf[f.off+i]
 		}
 	}
+	m.scratch.Put(bp)
 	if keep < 0 {
 		return nil, z
 	}
@@ -567,6 +589,17 @@ func (m *BN) ve(masks [][]float64, keep int) ([]float64, float64) {
 		tot += hist[i]
 	}
 	return hist, tot
+}
+
+// allOnes reports whether an evidence mask, whose entries are 0 or 1,
+// excludes no value.
+func allOnes(mask []float64) bool {
+	for _, w := range mask {
+		if w < 1 {
+			return false
+		}
+	}
+	return true
 }
 
 func newBNCond(m *BN, masks [][]float64) *bnCond {

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"acqp/internal/datagen"
 	"acqp/internal/exec"
 	"acqp/internal/opt"
 	"acqp/internal/query"
 	"acqp/internal/schema"
 	"acqp/internal/stats"
 	"acqp/internal/table"
+	"acqp/internal/trace"
 )
 
 // xorSchema is the 4-attribute fixture no single tree captures: two cheap
@@ -194,6 +196,34 @@ func TestBNImpossibleEvidenceUniform(t *testing.T) {
 		if math.Abs(v-0.5) > 1e-12 {
 			t.Errorf("impossible-evidence hist not uniform: %v", h)
 		}
+	}
+}
+
+// TestBNInferenceAllocs gates one planner step on the service-sized lab
+// network: the root, one restriction and the posterior of every
+// attribute. Each posterior runs a precompiled elimination program on
+// pooled scratch memory, so the step allocates the conditioning contexts
+// and the published histograms and nothing per factor. The race runtime
+// allocates, so the test skips itself under -race; ci.sh runs it
+// without.
+func TestBNInferenceAllocs(t *testing.T) {
+	if trace.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	d, err := Fit(NameBN, datagen.Lab(datagen.LabConfig{Motes: 45, Rows: 8000, Seed: 1, QuietMotes: 6}), Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Schema().NumAttrs()
+	r := query.Range{Lo: 0, Hi: schema.Value(d.Schema().K(datagen.LabLight) / 2)}
+	allocs := testing.AllocsPerRun(20, func() {
+		c := d.Root().RestrictRange(datagen.LabLight, r)
+		for a := 0; a < n; a++ {
+			c.Hist(a)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("root + restrict + %d posteriors: %.0f allocs, want <= 40", n, allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -128,31 +129,64 @@ func TestConformanceWeightMonotone(t *testing.T) {
 }
 
 // Backends publish lazily-computed statistics via sync.Once; a shared
-// conditioning context must be safe for concurrent planner searches.
-// Run with -race to make this meaningful.
+// conditioning context must be safe for concurrent planner searches and
+// must give every goroutine the bits a sequential run gives, which is
+// what catches scratch memory shared between two concurrent inferences.
+// Run with -race to make the safety half meaningful.
 func TestConformanceConcurrentUse(t *testing.T) {
 	tbl := chainTable(2000, 45)
 	for name, d := range conformanceDists(t, tbl) {
 		d := d
 		t.Run(name, func(t *testing.T) {
+			// results renders every probe's answers from root's
+			// contexts as bit patterns, for goroutine g at step i.
+			results := func(root stats.Cond, restricted stats.Cond, g, i int) []uint64 {
+				a := (g + i) % 3
+				var out []uint64
+				for _, p := range root.Hist(a) {
+					out = append(out, math.Float64bits(p))
+				}
+				out = append(out,
+					math.Float64bits(restricted.ProbRange(a, query.Range{Lo: 0, Hi: 2})),
+					math.Float64bits(restricted.Weight()))
+				c := root.RestrictRange(a, query.Range{Lo: 1, Hi: 3})
+				for _, p := range c.Hist((a + 1) % 3) {
+					out = append(out, math.Float64bits(p))
+				}
+				return append(out, math.Float64bits(c.Weight()))
+			}
+			const goroutines, steps = 8, 20
+			// The sequential answers come from a separate root, so the
+			// shared one below computes everything under contention.
+			seqRoot := d.Root()
+			seqRestricted := seqRoot.RestrictRange(0, query.Range{Lo: 0, Hi: 1})
+			want := make([][][]uint64, goroutines)
+			for g := range want {
+				for i := 0; i < steps; i++ {
+					want[g] = append(want[g], results(seqRoot, seqRestricted, g, i))
+				}
+			}
 			root := d.Root()
 			restricted := root.RestrictRange(0, query.Range{Lo: 0, Hi: 1})
+			got := make([][][]uint64, goroutines)
 			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
+			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						a := (g + i) % 3
-						_ = root.Hist(a)
-						_ = restricted.ProbRange(a, query.Range{Lo: 0, Hi: 2})
-						_ = restricted.Weight()
-						c := root.RestrictRange(a, query.Range{Lo: 1, Hi: 3})
-						_ = c.Hist((a + 1) % 3)
+					for i := 0; i < steps; i++ {
+						got[g] = append(got[g], results(root, restricted, g, i))
 					}
 				}(g)
 			}
 			wg.Wait()
+			for g := range want {
+				for i := range want[g] {
+					if !slices.Equal(got[g][i], want[g][i]) {
+						t.Fatalf("goroutine %d step %d: bits %x, sequential %x", g, i, got[g][i], want[g][i])
+					}
+				}
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -16,15 +17,19 @@ import (
 	"acqp/internal/model"
 	"acqp/internal/plan"
 	"acqp/internal/query"
+	"acqp/internal/schema"
 	"acqp/internal/stats"
 	"acqp/internal/table"
 	"acqp/internal/trace"
 	"acqp/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/greedy_golden.txt from the current planner")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files of the selected tests from the current planner")
 
-const greedyGoldenFile = "testdata/greedy_golden.txt"
+const (
+	greedyGoldenFile   = "testdata/greedy_golden.txt"
+	greedyBNGoldenFile = "testdata/greedy_bn_golden.txt"
+)
 
 // goldenWorld is one (dataset, seed) cell of the golden grid: a training
 // table and the query planned over it.
@@ -53,16 +58,39 @@ func goldenWorlds(seed int64) []goldenWorld {
 	}
 }
 
-// greedyGoldenLines plans the whole grid and renders one line per plan:
+// goldenGrid is one family of frozen Greedy plans: for every seed and
+// world, every model and every planner setting.
+type goldenGrid struct {
+	seeds  int64
+	worlds func(seed int64) []goldenWorld
+	dists  []string
+	points []int
+	splits []int
+	bases  []SeqAlgorithm
+	pars   []int
+}
+
+// greedyGrid is the grid of greedy_golden.txt.
+var greedyGrid = goldenGrid{
+	seeds:  6,
+	worlds: goldenWorlds,
+	dists:  []string{model.NameEmpirical, model.NameChowLiu},
+	points: []int{4, 8},
+	splits: []int{1, 5, 10},
+	bases:  []SeqAlgorithm{SeqOpt, SeqGreedy},
+	pars:   []int{1, 4},
+}
+
+// lines plans the first seeds of the grid and renders one line per plan:
 // a key, the plan's wire bytes, the cost's bit pattern and, at
 // Parallelism 1, the search counters of the trace span.
-func greedyGoldenLines(t *testing.T, seeds int64) []string {
+func (gg goldenGrid) lines(t *testing.T, seeds int64) []string {
 	t.Helper()
 	var lines []string
 	for seed := int64(1); seed <= seeds; seed++ {
-		for _, w := range goldenWorlds(seed) {
+		for _, w := range gg.worlds(seed) {
 			s := w.tbl.Schema()
-			for _, distName := range []string{model.NameEmpirical, model.NameChowLiu} {
+			for _, distName := range gg.dists {
 				var d stats.Dist = stats.NewEmpirical(w.tbl)
 				if distName != model.NameEmpirical {
 					var err error
@@ -70,10 +98,10 @@ func greedyGoldenLines(t *testing.T, seeds int64) []string {
 						t.Fatalf("%s seed %d: fit %s: %v", w.name, seed, distName, err)
 					}
 				}
-				for _, points := range []int{4, 8} {
-					for _, maxSplits := range []int{1, 5, 10} {
-						for _, base := range []SeqAlgorithm{SeqOpt, SeqGreedy} {
-							for _, par := range []int{1, 4} {
+				for _, points := range gg.points {
+					for _, maxSplits := range gg.splits {
+						for _, base := range gg.bases {
+							for _, par := range gg.pars {
 								g := Greedy{SPSF: UniformSPSFSame(s, points), MaxSplits: maxSplits, Base: base, Parallelism: par}
 								sp := trace.NewSpan(time.Now)
 								node, cost := g.Plan(trace.NewContext(context.Background(), sp), d, w.q)
@@ -94,38 +122,32 @@ func greedyGoldenLines(t *testing.T, seeds int64) []string {
 	return lines
 }
 
-// TestGreedyGolden freezes opt.Greedy's output: every plan of the grid
-// must encode to the committed bytes, cost to the committed bits and, at
-// Parallelism 1, report the committed Candidates/Pruned/LeafExpansions.
-// The file was generated before the split sweep replaced per-candidate
-// materialization, so it is the proof that the rewrite changed no plan.
-// Regenerate with `go test ./internal/opt -run TestGreedyGolden -update`
-// only for a change that is meant to alter plans.
-func TestGreedyGolden(t *testing.T) {
-	seeds := int64(6)
-	if trace.RaceEnabled || testing.Short() {
-		seeds = 1 // the file is seed-major, so a prefix of it is checked
+// check plans the grid and compares it line by line with file, or
+// rewrites file under -update. Under -race or -short only the first
+// seed is planned; the file is seed-major, so that is a prefix of it.
+func (gg goldenGrid) check(t *testing.T, file string) {
+	t.Helper()
+	seeds := gg.seeds
+	if (trace.RaceEnabled || testing.Short()) && !*updateGolden {
+		seeds = 1
 	}
-	if *updateGolden {
-		seeds = 6
-	}
-	got := greedyGoldenLines(t, seeds)
+	got := gg.lines(t, seeds)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(greedyGoldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(greedyGoldenFile)
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
 	if len(want) < len(got) {
-		t.Fatalf("%s has %d lines, the grid has %d", greedyGoldenFile, len(want), len(got))
+		t.Fatalf("%s has %d lines, the grid has %d", file, len(want), len(got))
 	}
 	bad := 0
 	for i, line := range got {
@@ -138,4 +160,80 @@ func TestGreedyGolden(t *testing.T) {
 	if bad > 5 {
 		t.Errorf("... and %d more lines differ", bad-5)
 	}
+}
+
+// TestGreedyGolden freezes opt.Greedy's output: every plan of the grid
+// must encode to the committed bytes, cost to the committed bits and, at
+// Parallelism 1, report the committed Candidates/Pruned/LeafExpansions.
+// The file was generated before the split sweep replaced per-candidate
+// materialization, so it is the proof that the rewrite changed no plan.
+// Regenerate with `go test ./internal/opt -run TestGreedyGolden -update`
+// only for a change that is meant to alter plans.
+func TestGreedyGolden(t *testing.T) {
+	greedyGrid.check(t, greedyGoldenFile)
+}
+
+// bnGrid is the grid of greedy_bn_golden.txt: Greedy planning on the
+// Bayesian network, whose every probability is a variable-elimination
+// run. The three dataset families fit to networks with at most one
+// parent per node, so an XOR world adds the two-parent family.
+var bnGrid = goldenGrid{
+	seeds: 3,
+	worlds: func(seed int64) []goldenWorld {
+		return append(goldenWorlds(seed), xorWorld(seed))
+	},
+	dists:  []string{model.NameBN},
+	points: []int{4, 8},
+	splits: []int{1, 5},
+	bases:  []SeqAlgorithm{SeqOpt},
+	pars:   []int{1, 2},
+}
+
+// xorWorld samples x0, x1 ~ uniform, x2 = x0 XOR x1 flipped with
+// probability 0.05 and an independent x3, and asks for x2 = 1 and x3 = 1.
+// Only a node with two parents can represent x2.
+func xorWorld(seed int64) goldenWorld {
+	s := schema.New(
+		schema.Attribute{Name: "x0", K: 2, Cost: 1},
+		schema.Attribute{Name: "x1", K: 2, Cost: 1},
+		schema.Attribute{Name: "x2", K: 2, Cost: 100},
+		schema.Attribute{Name: "x3", K: 2, Cost: 100},
+	)
+	rng := rand.New(rand.NewSource(seed))
+	tbl := table.New(s, 4000)
+	for i := 0; i < 4000; i++ {
+		x0 := schema.Value(rng.Intn(2))
+		x1 := schema.Value(rng.Intn(2))
+		x2 := x0 ^ x1
+		if rng.Float64() < 0.05 {
+			x2 ^= 1
+		}
+		tbl.MustAppendRow([]schema.Value{x0, x1, x2, schema.Value(rng.Intn(2))})
+	}
+	one := query.Range{Lo: 1, Hi: 1}
+	return goldenWorld{"xor", tbl, query.MustNewQuery(s, query.Pred{Attr: 2, R: one}, query.Pred{Attr: 3, R: one})}
+}
+
+// TestGreedyBNGolden freezes opt.Greedy's output on the Bayesian-network
+// backend, the same way TestGreedyGolden does on counts and trees. The
+// file was generated before variable elimination was compiled once per
+// network, so it is the proof that compiling changed no plan.
+// Regenerate with `go test ./internal/opt -run TestGreedyBNGolden -update`
+// only for a change that is meant to alter plans.
+func TestGreedyBNGolden(t *testing.T) {
+	for seed := int64(1); seed <= bnGrid.seeds; seed++ {
+		d, err := model.Fit(model.NameBN, xorWorld(seed).tbl, model.Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bn := d.(*model.BN)
+		twoParents := false
+		for v := 0; v < bn.Schema().NumAttrs(); v++ {
+			twoParents = twoParents || len(bn.Parents(v)) == 2
+		}
+		if !twoParents {
+			t.Fatalf("xor seed %d: the network has no two-parent family", seed)
+		}
+	}
+	bnGrid.check(t, greedyBNGoldenFile)
 }
