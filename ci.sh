@@ -40,7 +40,9 @@
 #              network backend to plan strictly cheaper than Chow-Liu on
 #              the XOR workload; teed to results/models-bench.txt
 #   alloc gates the trace disabled path (0 allocs), the serve fast-path
-#              cache hit (<= 3 allocs), one greedy plan on the miss path
+#              cache hit, standalone and on a cluster node replaying its
+#              copy of the owner's answer (<= 3 allocs each), the shard
+#              owner lookup (0 allocs), one greedy plan on the miss path
 #              (<= 1,450 allocs), one Execute over 4,096 rows (<= 6
 #              allocs) and one Bayesian-network restriction step with
 #              every posterior (<= 40 allocs), all without -race; every
@@ -250,6 +252,11 @@ echo "== serve hot-path alloc gate"
 # (pre-serialized replay slots + pooled buffers; see serve/fast.go).
 # Like the trace gate, it must run without -race.
 gate_test -run='TestServeCacheHitAllocs' -count=1 ./internal/serve
+# The same hit on a cluster node that forwarded the key once and kept a
+# copy of the owner's answer: the replay adds only the shard-owner check,
+# which folds the rendezvous maximum over the member map allocation-free.
+gate_test -run='TestServeClusterCacheHitAllocs' -count=1 ./internal/serve
+gate_test -run='TestOwnerAllocs' -count=1 ./internal/cluster
 # A cache miss is one opt.Greedy plan. It ranks candidate splits from a
 # split sweep's counts (stats.SplitSweep), so what it allocates grows with
 # leaves and attributes; a context derived per candidate side would push

@@ -273,7 +273,8 @@ func plannerCallsTotal(targets []string) (int64, error) {
 //  1. Single planner run cluster-wide: replaying the entire query pool
 //     through every entry node must add zero planner calls — each
 //     distinct canonical query was planned once, on its shard owner,
-//     and every replay is a cache hit or a forward to one.
+//     and every replay is a cache hit (the owner's entry or another
+//     node's copy of it) or a forward to one.
 //  2. Epoch coherence: a forced statistics refresh on one node must
 //     propagate its new epoch to every target via gossip.
 //

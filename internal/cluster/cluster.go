@@ -46,6 +46,15 @@ type Local interface {
 	AdvanceTo(epoch uint64, from string) (newEpoch uint64, purged int)
 }
 
+// EpochCeiling is the highest statistics epoch a node adopts or
+// reaches: 2^53, the largest integer every JSON reader decodes exactly.
+// A gossip digest member claiming more is dropped and counted, and a
+// refresh at the ceiling fails instead of wrapping to 0 — a wrapped
+// epoch would let the next gossip round make cache entries planned on
+// superseded statistics current again. At one refresh a millisecond the
+// ceiling is 285,000 years away.
+const EpochCeiling uint64 = 1 << 53
+
 // Config parameterizes a Node. Self, Now, Client, and Local are
 // required; zero values elsewhere select the documented defaults.
 type Config struct {
@@ -132,6 +141,7 @@ type Node struct {
 
 	rounds   atomic.Int64 // gossip rounds started
 	failures atomic.Int64 // failed exchanges
+	rejected atomic.Int64 // digest members dropped for an epoch above EpochCeiling
 
 	pokeCh chan struct{}
 	cancel context.CancelFunc
@@ -242,34 +252,41 @@ func (n *Node) nextInterval() time.Duration {
 // current membership view: the highest-random-weight (rendezvous) hash
 // over self plus every alive peer, so each key has exactly one owner in
 // any agreed view, and a membership change remaps only the keys the
-// departed or arrived node owns.
+// departed or arrived node owns. Ties go to self, then to the lowest
+// URL. Owner runs on every clustered fast-path hit, so it folds the
+// maximum over the member map in place and allocates nothing.
 func (n *Node) Owner(key string) (url string, self bool) {
-	n.mu.Lock()
-	urls := n.memberURLsLocked(func(m *member) bool { return m.state == stateAlive })
-	n.mu.Unlock()
+	kh := keyHash(key)
 	best := n.cfg.Self
-	bestScore := rendezvousScore(n.cfg.Self, key)
-	for _, u := range urls {
-		if s := rendezvousScore(u, key); s > bestScore {
+	bestScore := rendezvousScore(best, kh)
+	n.mu.Lock()
+	for u, m := range n.members {
+		if m.state != stateAlive {
+			continue
+		}
+		s := rendezvousScore(u, kh)
+		if s > bestScore || (s == bestScore && best != n.cfg.Self && u < best) {
 			best, bestScore = u, s
 		}
 	}
+	n.mu.Unlock()
 	return best, best == n.cfg.Self
 }
 
 // OwnerOrder returns every current ownership candidate for a key —
-// self plus the alive peers — in descending rendezvous-score order.
-// The head is the Owner; the tail is the deterministic failover
-// sequence the serving layer walks when the owner is unreachable, so
-// every node that agrees on the membership view also agrees on who
-// answers for a key after k failures.
+// self plus the alive peers — in descending rendezvous-score order,
+// with Owner's tie rule. The head is the Owner; the tail is the
+// deterministic failover sequence the serving layer walks when the
+// owner is unreachable, so every node that agrees on the membership
+// view also agrees on who answers for a key after k failures.
 func (n *Node) OwnerOrder(key string) []string {
+	kh := keyHash(key)
 	n.mu.Lock()
-	urls := n.memberURLsLocked(func(m *member) bool { return m.state == stateAlive })
+	peers := n.memberURLsLocked(func(m *member) bool { return m.state == stateAlive })
 	n.mu.Unlock()
-	urls = append(urls, n.cfg.Self)
+	urls := append([]string{n.cfg.Self}, peers...)
 	sort.SliceStable(urls, func(i, j int) bool {
-		return rendezvousScore(urls[i], key) > rendezvousScore(urls[j], key)
+		return rendezvousScore(urls[i], kh) > rendezvousScore(urls[j], kh)
 	})
 	return urls
 }
@@ -345,11 +362,14 @@ type Stats struct {
 	Known    int    // peers known in any state (self excluded)
 	MaxEpoch uint64 // highest statistics epoch seen cluster-wide
 	Joined   bool
+	// RejectedEpochs counts digest members dropped because their epoch
+	// exceeded EpochCeiling.
+	RejectedEpochs int64
 }
 
 // StatsSnapshot returns the current counters.
 func (n *Node) StatsSnapshot() Stats {
-	st := Stats{Rounds: n.rounds.Load(), Failures: n.failures.Load()}
+	st := Stats{Rounds: n.rounds.Load(), Failures: n.failures.Load(), RejectedEpochs: n.rejected.Load()}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st.Known = len(n.members)

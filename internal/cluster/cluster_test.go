@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"acqp/internal/trace"
 )
 
 // fakeLocal is a minimal Local: an epoch counter plus a record of
@@ -139,6 +141,80 @@ func TestOwnerMinimalDisruption(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("departed node owned no keys; disruption check is vacuous")
+	}
+}
+
+// TestOwnerIsHeadOfOwnerOrder is the property that lets the serving
+// layer check a replay slot with Owner alone: over seeded memberships
+// (peers in every state) and seeded keys, Owner(k) is OwnerOrder(k)[0].
+func TestOwnerIsHeadOfOwnerOrder(t *testing.T) {
+	states := []memberState{statePending, stateAlive, stateDead, stateLeft}
+	for trial := uint64(0); trial < 64; trial++ {
+		r := splitmix64(trial)
+		self := fmt.Sprintf("http://h%d:%d", r%7, 8000+r%13)
+		n := newTestNode(t, self, nil, nil)
+		for p := uint64(0); p < r%7; p++ {
+			u := fmt.Sprintf("http://h%d:%d", splitmix64(r+p)%9, 8000+splitmix64(r^p)%13)
+			if u == self {
+				continue
+			}
+			n.members[u] = &member{url: u, state: states[splitmix64(r*31+p)%uint64(len(states))]}
+		}
+		for k := 0; k < 50; k++ {
+			key := fmt.Sprintf("temp:%d:%d;light:!0:%d", trial, k, splitmix64(r+uint64(k))%64)
+			owner, isSelf := n.Owner(key)
+			order := n.OwnerOrder(key)
+			if owner != order[0] || isSelf != (owner == self) {
+				t.Fatalf("trial %d key %q: Owner = %s (self %v), OwnerOrder = %v", trial, key, owner, isSelf, order)
+			}
+		}
+	}
+}
+
+// TestOwnerAllocs gates the per-hit ownership check: Owner folds the
+// rendezvous maximum over the member map without building a slice.
+func TestOwnerAllocs(t *testing.T) {
+	if trace.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; ci.sh runs this gate without -race")
+	}
+	urls := []string{"http://n1:1", "http://n2:2", "http://n3:3"}
+	n := newTestNode(t, urls[0], urls, nil)
+	markAlive(n, urls[1:]...)
+	allocs := testing.AllocsPerRun(200, func() {
+		if owner, _ := n.Owner("temp:4:9;light:!0:50"); owner == "" {
+			t.Fatal("empty owner")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Owner allocates %.1f/op, gate is 0", allocs)
+	}
+}
+
+// TestMergeDropsEpochsAboveCeiling pins that a digest cannot push an
+// epoch past EpochCeiling: the offending member is dropped whole (not
+// even its URL is learned) and counted, while the ceiling itself is
+// still adopted.
+func TestMergeDropsEpochsAboveCeiling(t *testing.T) {
+	local := &fakeLocal{epoch: 1}
+	n := newTestNode(t, "http://n1:1", []string{"http://n2:2"}, local)
+	n.merge(wireDigest{
+		From: "http://n2:2",
+		Members: []wireMember{
+			{URL: "http://n2:2", Epoch: 3},
+			{URL: "http://n3:3", Epoch: EpochCeiling + 1},
+			{URL: "http://n4:4", Epoch: ^uint64(0)},
+		},
+	})
+	if got := local.Epoch(); got != 3 {
+		t.Fatalf("local epoch = %d, want 3: epochs above the ceiling must not be adopted", got)
+	}
+	st := n.StatsSnapshot()
+	if st.RejectedEpochs != 2 || st.MaxEpoch != 3 || st.Known != 1 {
+		t.Fatalf("snapshot = %+v, want 2 rejected, MaxEpoch 3, only n2 known", st)
+	}
+	n.merge(wireDigest{From: "http://n2:2", Members: []wireMember{{URL: "http://n2:2", Epoch: EpochCeiling}}})
+	if got := local.Epoch(); got != EpochCeiling {
+		t.Fatalf("local epoch = %d, want the ceiling %d itself adopted", got, EpochCeiling)
 	}
 }
 

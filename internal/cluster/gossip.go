@@ -129,7 +129,9 @@ func (n *Node) exchange(ctx context.Context, peer, path string, d wireDigest) bo
 // merge folds a peer's digest into the local view: the sender is
 // directly heard from (alive, misses cleared), every listed URL is
 // learned (unknown ones enter pending until probed directly), each
-// member's epoch ratchets to the maximum seen, and if the cluster
+// member's epoch ratchets to the maximum seen — a member claiming an
+// epoch above EpochCeiling is dropped whole and counted, since no honest
+// node gets there — and if the cluster
 // maximum now exceeds the local statistics epoch the co-located node is
 // advanced — purging its stale cache entries — after the lock is
 // released.
@@ -154,6 +156,10 @@ func (n *Node) merge(d wireDigest) {
 	}
 	for _, wm := range d.Members {
 		if wm.URL == "" {
+			continue
+		}
+		if wm.Epoch > EpochCeiling {
+			n.rejected.Add(1)
 			continue
 		}
 		if wm.Epoch > n.maxEpoch {

@@ -31,9 +31,15 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// rendezvousScore scores one (node, key) pair. The node URL is hashed
-// first and the key folded in before finalizing, so a node's scores
-// across keys are independent draws.
-func rendezvousScore(node, key string) uint64 {
-	return splitmix64(fnv64a(node) ^ splitmix64(fnv64a(key)))
+// keyHash is the key's half of every rendezvous score, computed once
+// per lookup rather than once per candidate node.
+func keyHash(key string) uint64 {
+	return splitmix64(fnv64a(key))
+}
+
+// rendezvousScore scores one (node, key) pair from the key's keyHash.
+// The node URL is hashed first and the key folded in before finalizing,
+// so a node's scores across keys are independent draws.
+func rendezvousScore(node string, kh uint64) uint64 {
+	return splitmix64(fnv64a(node) ^ kh)
 }

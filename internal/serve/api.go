@@ -88,8 +88,8 @@ type planResponse struct {
 	// is omitted when the request did not ask for one and the server runs
 	// the empirical default, keeping legacy responses byte-identical. It
 	// must serialize before ElapsedMS: the fast path (fast.go) splices the
-	// request ID and elapsed time into a pre-serialized blob by matching
-	// the fixed `,"elapsed_ms":0}` tail.
+	// request ID and elapsed time into a pre-serialized blob at its
+	// `,"elapsed_ms":0` member, after which only Node may follow.
 	Model     string  `json:"model,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	RequestID string  `json:"request_id,omitempty"`
@@ -444,7 +444,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if trivial {
 		out = s.trivialOutcome(trivialResult, s.Epoch())
 	} else {
-		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil)
+		// /v1/execute is never routed: it runs whatever plan this node
+		// holds for the key, a copy of the owner's included.
+		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil, true)
 		if err != nil {
 			writePlanError(w, err)
 			return
@@ -604,7 +606,11 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	refreshed, drift, epoch, purged := s.Refresh(req.Force)
+	refreshed, drift, epoch, purged, err := s.Refresh(req.Force)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, refreshResponse{Refreshed: refreshed, Drift: drift, Epoch: epoch, Purged: purged})
 }
 

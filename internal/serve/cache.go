@@ -8,22 +8,35 @@ import (
 // cacheEntry is one cached planning outcome. The outcome is immutable
 // after insertion: the stored plan node is shared by reference across
 // requests, which is safe because plan.Node trees are read-only once
-// built.
+// built. On a clustered node the outcome may be a copy of a peer's
+// answer; its planner field names that peer.
 //
-// An entry also holds at most one replayable /v1/plan answer (fast.go):
-// the request body it answers byte for byte, and prefix, the response
-// serialized up to its per-request fields. used is the slot's second
-// chance: a replay sets it, and a different body hitting the entry on
-// the regular path clears it instead of taking the slot. The slot lives
-// and dies with the entry.
+// An entry also holds at most one replayable /v1/plan answer (fast.go).
+// used is the slot's second chance: a replay sets it, and a different
+// body hitting the entry on the regular path clears it instead of
+// taking the slot. The slot lives and dies with the entry.
 type cacheEntry struct {
 	key     string
 	epoch   uint64
 	outcome planOutcome
 
+	slot replaySlot
+	used bool
+}
+
+// replaySlot is one pre-serialized /v1/plan answer: the request body it
+// answers byte for byte, and the response serialized around its
+// per-request members — prefix runs up to `,"elapsed_ms":`, suffix is
+// what follows request_id (`}` or `,"node":…}`). node is the planner the
+// answer names ("" standalone) and route the canonical query key, so a
+// clustered node can check that the planner still owns the key before
+// replaying.
+type replaySlot struct {
 	body   string
 	prefix []byte
-	used   bool
+	suffix []byte
+	node   string
+	route  string
 }
 
 // lruCache is a fixed-capacity LRU map from cache key to planning
@@ -78,31 +91,31 @@ func (c *lruCache) add(key string, epoch uint64, out planOutcome) {
 	}
 }
 
-// replay returns the pre-serialized answer prefix for a request body at
-// the given epoch, or nil. A replay is a hit on the entry: it becomes
-// most recently used and its slot earns its second chance.
-func (c *lruCache) replay(body []byte, epoch uint64) []byte {
+// replay returns the replay slot for a request body at the given epoch.
+// A replay is a hit on the entry: it becomes most recently used and its
+// slot earns its second chance.
+func (c *lruCache) replay(body []byte, epoch uint64) (replaySlot, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el := c.bodies[string(body)]
 	if el == nil || el.Value.(*cacheEntry).epoch != epoch {
-		return nil
+		return replaySlot{}, false
 	}
 	e := el.Value.(*cacheEntry)
 	c.ll.MoveToFront(el)
 	e.used = true
-	return e.prefix
+	return e.slot, true
 }
 
-// offer proposes body's serialized answer for key's replay slot after a
+// offer proposes a serialized answer for key's replay slot after a
 // regular-path hit. An empty slot, or one whose body has not been
 // replayed since the last offer, takes it; a used slot keeps its body
 // and loses its mark.
-func (c *lruCache) offer(key, body string, prefix []byte) {
+func (c *lruCache) offer(key string, slot replaySlot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
-	if !ok || el.Value.(*cacheEntry).body == body {
+	if !ok || el.Value.(*cacheEntry).slot.body == slot.body {
 		return
 	}
 	e := el.Value.(*cacheEntry)
@@ -111,18 +124,18 @@ func (c *lruCache) offer(key, body string, prefix []byte) {
 		return
 	}
 	c.clearSlot(e)
-	if old := c.bodies[body]; old != nil {
+	if old := c.bodies[slot.body]; old != nil {
 		c.clearSlot(old.Value.(*cacheEntry))
 	}
-	e.body, e.prefix = body, prefix
-	c.bodies[body] = el
+	e.slot = slot
+	c.bodies[slot.body] = el
 }
 
 // clearSlot empties an entry's replay slot and drops its body from the
 // index. Callers hold c.mu.
 func (c *lruCache) clearSlot(e *cacheEntry) {
-	delete(c.bodies, e.body) // no body is ever "", so an empty slot deletes nothing
-	e.body, e.prefix, e.used = "", nil, false
+	delete(c.bodies, e.slot.body) // no body is ever "", so an empty slot deletes nothing
+	e.slot, e.used = replaySlot{}, false
 }
 
 // remove unlinks an entry and its replay slot. Callers hold c.mu.

@@ -277,7 +277,9 @@ func TestClusterChaosPartitionFailoverBreakers(t *testing.T) {
 	})
 	h.converge(t)
 	const sql = "SELECT * WHERE temp > 7"
-	code, first := clusterPost[planResponse](t, h.clusterHarness, h.urls[0], "/v1/plan", planRequest{SQL: sql})
+	// Ask the owner directly, so no entry below holds a copy: each must
+	// forward, fail over or degrade.
+	code, first := clusterPost[planResponse](t, h.clusterHarness, h.urls[h.ownerIdx(t, sql)], "/v1/plan", planRequest{SQL: sql})
 	if code != http.StatusOK {
 		t.Fatalf("initial plan: status %d", code)
 	}
@@ -392,7 +394,8 @@ func TestClusterBreakerGossipInterplay(t *testing.T) {
 	})
 	h.converge(t)
 	const sql = "SELECT * WHERE light > 11 AND humid < 8"
-	code, first := clusterPost[planResponse](t, h.clusterHarness, h.urls[0], "/v1/plan", planRequest{SQL: sql})
+	// Ask the owner directly, so the entry holds no copy and must forward.
+	code, first := clusterPost[planResponse](t, h.clusterHarness, h.urls[h.ownerIdx(t, sql)], "/v1/plan", planRequest{SQL: sql})
 	if code != http.StatusOK {
 		t.Fatalf("initial plan: status %d", code)
 	}
@@ -461,8 +464,11 @@ func TestClusterBreakerGossipInterplay(t *testing.T) {
 			t.Fatalf("post-revival request: status %d degraded=%v node=%s, want the original owner %s", code, pr.Degraded, pr.Node, ownerURL)
 		}
 		tr = append(tr, state())
-		// Leave the cluster converged for the next episode.
+		// Leave the cluster converged for the next episode, and drop the
+		// copy the revival request left on the entry, so the next episode
+		// starts like this one: from an entry that must forward.
 		h.clock.Advance(6 * time.Second)
+		h.srvs[entryIdx].cache.invalidateBefore(^uint64(0))
 		return tr
 	}
 

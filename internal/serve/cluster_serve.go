@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,19 +20,24 @@ import (
 
 	"acqp/internal/chaos"
 	"acqp/internal/cluster"
+	"acqp/internal/plan"
 	"acqp/internal/query"
 )
 
 // Clustered serving: N acqserved processes share the planning load by
-// rendezvous-hashing each canonical query to one shard owner. The owner
-// runs (and caches) the planner; every other node forwards /v1/plan to
-// it over an internal hop, so the exponential-cost planners run exactly
-// once cluster-wide per distinct query — the in-process singleflight
-// guarantee, extended across processes. Statistics epochs stay coherent
-// through internal/cluster's gossip: a drift refresh on one node bumps
-// every peer's epoch and purges their stale cache entries; the
-// distributions themselves remain local (each node re-learns from its
-// own window), which is safe because only a key's owner plans it.
+// rendezvous-hashing each canonical query to one shard owner. Planning
+// is owner-only: the owner runs the planner; every other node forwards
+// /v1/plan to it over an internal hop, so the exponential-cost planners
+// run exactly once cluster-wide per distinct query — the in-process
+// singleflight guarantee, extended across processes. Caching is not
+// owner-only: a node that forwarded a key keeps a copy of the owner's
+// whole answer at the owner's epoch in its own plan cache, and answers
+// later hits from it (fast path included) while that owner still owns
+// the key. Statistics epochs stay coherent through internal/cluster's
+// gossip: a drift refresh on one node bumps every peer's epoch and
+// purges their stale entries, copies included; the distributions
+// themselves remain local (each node re-learns from its own window),
+// which is safe because only a key's owner plans it.
 
 // ClusterConfig joins a Server to a planning cluster.
 type ClusterConfig struct {
@@ -83,7 +89,9 @@ type ClusterConfig struct {
 	// Transport, when set, carries both forwarded plan requests and
 	// gossip exchanges — the chaos harness installs a
 	// chaos.Transport here so partitions affect planning and failure
-	// detection coherently. Default http.DefaultTransport.
+	// detection coherently. Default: the node's own clone of
+	// http.DefaultTransport keeping forwardIdleConnsPerHost idle
+	// connections per peer.
 	Transport http.RoundTripper
 
 	// Logf receives membership transitions; nil silences them.
@@ -107,6 +115,11 @@ const (
 	fromHeader = "X-Acq-Cluster-From"
 )
 
+// forwardIdleConnsPerHost is how many idle connections the default
+// cluster transport keeps open to each peer. http.DefaultTransport keeps
+// 2, so concurrent forwards beyond two per peer would each dial anew.
+const forwardIdleConnsPerHost = 32
+
 // startCluster wires the cluster node into the server: routes, the
 // forwarding client, and the gossip loop (under baseCtx, so Shutdown
 // stops it).
@@ -119,10 +132,19 @@ func (s *Server) startCluster(cc *ClusterConfig) error {
 	if now == nil {
 		now = time.Now
 	}
-	client := &http.Client{Timeout: ft, Transport: cc.Transport}
+	tr := cc.Transport
+	if tr == nil {
+		tr = http.DefaultTransport
+		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+			own := dt.Clone()
+			own.MaxIdleConnsPerHost = forwardIdleConnsPerHost
+			tr = own
+		}
+	}
+	client := &http.Client{Timeout: ft, Transport: tr}
 	s.resil = resolveResilience(cc)
 	s.clusterNow = now
-	s.forwardTransport = cc.Transport
+	s.forwardTransport = tr
 	ratio := cc.RetryBudgetRatio
 	if ratio == 0 {
 		ratio = 0.1
@@ -218,10 +240,11 @@ func (s *Server) StatsDigest() uint64 {
 // distribution is deliberately left in place: epochs are the cluster's
 // cache-coherence clock, while distributions stay local to each node's
 // window (and only a key's owner plans it, so nodes never mix plans
-// from diverged statistics for the same key).
+// from diverged statistics for the same key). Epochs above
+// cluster.EpochCeiling are ignored.
 func (s *Server) AdvanceTo(epoch uint64, from string) (uint64, int) {
 	s.mu.Lock()
-	if epoch <= s.epoch {
+	if epoch <= s.epoch || epoch > cluster.EpochCeiling {
 		cur := s.epoch
 		s.mu.Unlock()
 		return cur, 0
@@ -254,9 +277,11 @@ func (e *remoteError) Error() string {
 //
 //   - no cluster, we own the key, or the request already took an
 //     internal hop → plan locally through the cache;
+//   - a peer owns the key and we hold a copy of its answer at the
+//     current epoch → answer from the copy, with no hop;
 //   - a peer owns the key → forward the raw request to it, retrying
 //     with capped backoff (bounded by the retry budget) and honoring
-//     Retry-After on a shed;
+//     Retry-After on a shed, and keep a copy of its whole answer;
 //   - the owner stays unreachable (or its breaker is open) → fail over
 //     to the next alive node in rendezvous order, up to MaxFailovers;
 //   - every candidate ranked above us is exhausted → report the
@@ -268,14 +293,14 @@ func (e *remoteError) Error() string {
 // ("" when unclustered) and forwarded reports an internal hop.
 func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams, req planRequest, raw []byte) (out planOutcome, cached, shared bool, servedBy string, forwarded bool, err error) {
 	if s.cluster == nil {
-		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil)
+		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil, false)
 		return out, cached, shared, "", false, err
 	}
 	if hops, _ := strconv.Atoi(r.Header.Get(hopsHeader)); hops > 0 {
 		if from := r.Header.Get(fromHeader); from != "" {
 			count(&s.metrics.peer(from).forwardsReceived, 1)
 		}
-		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil)
+		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil, false)
 		return out, cached, shared, s.clusterSelf, false, err
 	}
 	// Walk the rendezvous candidates ranked above us. The first entry is
@@ -286,9 +311,17 @@ func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams,
 	// path below, so partition answers never enter any cache before the
 	// failure detector actually moves ownership.
 	order := s.cluster.OwnerOrder(canon.Key())
-	if len(order) > 0 && order[0] == s.clusterSelf {
-		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil)
+	if order[0] == s.clusterSelf {
+		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil, false)
 		return out, cached, shared, s.clusterSelf, false, err
+	}
+	if !req.NoCache {
+		// A copy answers only for the peer that planned it: once
+		// ownership moves, the new owner is asked.
+		if hit, ok := s.cache.get(cacheKey(p, canon, s.Epoch())); ok && hit.planner == order[0] {
+			count(&s.metrics.cacheHits, 1)
+			return hit, true, false, order[0], false, nil
+		}
 	}
 	attempts := 0
 	for _, owner := range order {
@@ -309,7 +342,11 @@ func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams,
 		count(&s.metrics.peer(owner).forwardsSent, 1)
 		resp, ferr := s.forwardResilient(r.Context(), owner, raw, br)
 		if ferr == nil {
-			return outcomeFromRemote(resp), resp.Cached, resp.Shared, owner, true, nil
+			out := outcomeFromRemote(resp)
+			if owner == order[0] && !req.NoCache && req.Faults == nil {
+				s.keepCopy(p, canon, owner, out)
+			}
+			return out, resp.Cached, resp.Shared, owner, true, nil
 		}
 		var re *remoteError
 		if errors.As(ferr, &re) && re.status < http.StatusInternalServerError {
@@ -337,12 +374,37 @@ func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams,
 	// past, so it must neither persist nor be served to a later request
 	// that could reach the owner.
 	count(&s.metrics.degradedPartition, 1)
-	out, _, shared, err = s.planCached(r.Context(), canon, p, true, true)
+	out, _, shared, err = s.planCached(r.Context(), canon, p, true, true, false)
 	if err != nil {
 		return planOutcome{}, false, false, s.clusterSelf, false, err
 	}
 	out.degraded = true
 	return out, false, shared, s.clusterSelf, false, nil
+}
+
+// keepCopy stores the owner's answer to a forward in the local plan
+// cache, so this node answers the key's later hits itself. Only a whole
+// answer at the local epoch is kept: a degraded one reflects a deadline,
+// and one at another epoch was planned on statistics this node has
+// either not reached or already purged. The copy holds the decoded plan,
+// because /v1/execute runs cached outcomes; an answer whose plan does
+// not decode is not kept. The caller has already excluded failover
+// deputies, no_cache and fault what-ifs.
+func (s *Server) keepCopy(p plannerParams, canon query.Query, owner string, out planOutcome) {
+	epoch := s.Epoch()
+	if out.degraded || out.epoch != epoch {
+		return
+	}
+	enc, err := base64.StdEncoding.DecodeString(out.encoded)
+	if err != nil {
+		return
+	}
+	node, err := plan.Decode(s.s, enc)
+	if err != nil {
+		return
+	}
+	out.node, out.planner, out.traceSnap = node, owner, nil
+	s.cache.add(cacheKey(p, canon, epoch), epoch, out)
 }
 
 // forwardResilient forwards one planning request to one peer with the
@@ -480,7 +542,7 @@ func (s *Server) forwardPlan(ctx context.Context, owner string, raw []byte) (*pl
 
 // outcomeFromRemote reshapes the owner's response for the local
 // handler. The decoded plan node is not materialized — /v1/plan renders
-// from the owner's strings, and /execute never forwards.
+// from the owner's strings; keepCopy decodes it for a stored copy.
 func outcomeFromRemote(pr *planResponse) planOutcome {
 	return planOutcome{
 		rendered:  pr.Plan,
@@ -567,6 +629,7 @@ func (s *Server) writeClusterMetrics(w io.Writer) error {
 		{"acqserved_cluster_peers_alive", float64(st.Alive)},
 		{"acqserved_cluster_peers_known", float64(st.Known)},
 		{"acqserved_cluster_max_epoch", float64(st.MaxEpoch)},
+		{"acqserved_cluster_epoch_rejected", float64(st.RejectedEpochs)},
 		{"acqserved_cluster_joined", joined},
 		{"acqserved_cluster_epoch_bumps", float64(s.metrics.epochBumps.Load())},
 		{"acqserved_cluster_degraded_partition", float64(s.metrics.degradedPartition.Load())},

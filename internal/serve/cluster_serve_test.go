@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"acqp/internal/query"
+	"acqp/internal/sql"
 )
 
 // clusterHarness is an in-process 3-node planning cluster on loopback
@@ -143,6 +146,84 @@ func (h *clusterHarness) plannerCallsTotal() int64 {
 	return total
 }
 
+// canonKeyOf is the canonical query key a node routes stmt by.
+func canonKeyOf(t *testing.T, stmt string) string {
+	t.Helper()
+	s := testSchema()
+	st, err := sql.Parse(s, stmt)
+	if err != nil {
+		t.Fatalf("parse %q: %v", stmt, err)
+	}
+	preds, _ := st.Predicates()
+	canon, err := query.Canonical(s, preds)
+	if err != nil {
+		t.Fatalf("canonicalize %q: %v", stmt, err)
+	}
+	return canon.Key()
+}
+
+// ownerIdx is the harness index of the node that owns stmt's key in
+// node 0's membership view, found without sending stmt anywhere, so no
+// node picks up a copy of the answer.
+func (h *clusterHarness) ownerIdx(t *testing.T, stmt string) int {
+	t.Helper()
+	owner, _ := h.srvs[0].cluster.Owner(canonKeyOf(t, stmt))
+	for i, u := range h.urls {
+		if u == owner {
+			return i
+		}
+	}
+	t.Fatalf("owner %q of %q is not a harness node", owner, stmt)
+	return -1
+}
+
+// cacheView lists a node's plan-cache entries as canonical query key ->
+// planner: "" for an entry planned on the node itself, the owner's URL
+// for a copy of the owner's answer.
+func cacheView(srv *Server) map[string]string {
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	view := map[string]string{}
+	for el := srv.cache.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		_, route, _ := strings.Cut(e.key, "|")
+		view[route] = e.outcome.planner
+	}
+	return view
+}
+
+// checkOwnerOnlyPlanning requires the cluster's caches to hold exactly
+// one planned entry per key, on the key's owner (owners maps canonical
+// key -> owner URL), and every other entry to be a copy naming that
+// owner. It returns the number of copies.
+func (h *clusterHarness) checkOwnerOnlyPlanning(t *testing.T, owners map[string]string) int {
+	t.Helper()
+	planned, copies := map[string]int{}, 0
+	for i, srv := range h.srvs {
+		for route, planner := range cacheView(srv) {
+			owner, ok := owners[route]
+			switch {
+			case !ok:
+				t.Errorf("node %d caches unexpected key %q", i, route)
+			case planner == "" && h.urls[i] != owner:
+				t.Errorf("node %d holds a planned entry for %q, owned by %s", i, route, owner)
+			case planner == "":
+				planned[route]++
+			case planner != owner || h.urls[i] == owner:
+				t.Errorf("node %d holds a copy of %q naming %s; the owner is %s", i, route, planner, owner)
+			default:
+				copies++
+			}
+		}
+	}
+	for route := range owners {
+		if planned[route] != 1 {
+			t.Errorf("key %q is planned in %d caches, want exactly its owner's", route, planned[route])
+		}
+	}
+	return copies
+}
+
 // TestClusterByteIdenticalAnySingleflight pins two cluster invariants at
 // once: every workload query returns a byte-identical plan no matter
 // which node receives it, and the whole 3-node cluster runs exactly one
@@ -150,6 +231,7 @@ func (h *clusterHarness) plannerCallsTotal() int64 {
 func TestClusterByteIdenticalAnySingleflight(t *testing.T) {
 	h := newClusterHarness(t, 3, nil)
 	h.converge(t)
+	owners := map[string]string{}
 	for _, sql := range workload16 {
 		var plans []planResponse
 		for _, url := range h.urls {
@@ -164,6 +246,7 @@ func TestClusterByteIdenticalAnySingleflight(t *testing.T) {
 				t.Fatalf("query %q via %s: clustered response missing node attribution", sql, url)
 			}
 			plans = append(plans, pr)
+			owners[pr.Key] = pr.Node
 		}
 		for i := 1; i < len(plans); i++ {
 			if plans[i].Plan != plans[0].Plan || plans[i].PlanB64 != plans[0].PlanB64 {
@@ -179,14 +262,10 @@ func TestClusterByteIdenticalAnySingleflight(t *testing.T) {
 		t.Errorf("cluster ran the planner %d times for %d distinct queries; cluster-wide singleflight broken",
 			calls, workload16Distinct)
 	}
-	// Cluster-wide each distinct key is cached exactly once: on its owner.
-	var entries int
-	for _, url := range h.urls {
-		_, st := clusterGet[statsResponse](t, h, url, "/v1/stats")
-		entries += st.CacheEntries
-	}
-	if entries != workload16Distinct {
-		t.Errorf("cluster holds %d cache entries for %d distinct queries; keys cached off-owner", entries, workload16Distinct)
+	// Each distinct key is planned into exactly one cache, its owner's;
+	// each of the two other nodes forwarded it once and kept a copy.
+	if copies := h.checkOwnerOnlyPlanning(t, owners); copies != 2*workload16Distinct {
+		t.Errorf("cluster holds %d copies for %d distinct queries, want one on each non-owner", copies, workload16Distinct)
 	}
 }
 
@@ -258,8 +337,10 @@ func TestClusterEpochGossipPurgesPeers(t *testing.T) {
 		}
 		before += st.CacheEntries
 	}
-	if before != workload16Distinct {
-		t.Fatalf("cluster holds %d cache entries before refresh, want %d", before, workload16Distinct)
+	// One planned entry per key on its owner plus a copy on each other
+	// node: the purge below must reach the copies too.
+	if before != 3*workload16Distinct {
+		t.Fatalf("cluster holds %d cache entries before refresh, want %d (one planned, two copies per key)", before, 3*workload16Distinct)
 	}
 
 	code, rr := clusterPost[refreshResponse](t, h, h.urls[0], "/v1/refresh", refreshRequest{Force: true})
@@ -275,7 +356,7 @@ func TestClusterEpochGossipPurgesPeers(t *testing.T) {
 			t.Errorf("node %d epoch %d after gossip, want 2", i, st.Epoch)
 		}
 		if st.CacheEntries != 0 {
-			t.Errorf("node %d still holds %d cache entries planned under epoch 1", i, st.CacheEntries)
+			t.Errorf("node %d still holds %d cache entries (planned or copied) under epoch 1", i, st.CacheEntries)
 		}
 	}
 	// The bump is attributed on the peers' metrics.
@@ -322,7 +403,9 @@ func TestClusterPartitionDegraded(t *testing.T) {
 	})
 	h.converge(t)
 	const sql = "SELECT * WHERE temp > 7"
-	code, first := clusterPost[planResponse](t, h, h.urls[0], "/v1/plan", planRequest{SQL: sql})
+	// Ask the owner directly, so the entry node below holds no copy and
+	// must forward.
+	code, first := clusterPost[planResponse](t, h, h.urls[h.ownerIdx(t, sql)], "/v1/plan", planRequest{SQL: sql})
 	if code != http.StatusOK {
 		t.Fatalf("initial plan: status %d", code)
 	}

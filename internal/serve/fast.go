@@ -19,11 +19,16 @@ import (
 // once; a request with identical body bytes replays it with only
 // elapsed_ms and request_id spliced in, from pooled buffers.
 //
-// Slots are filled only for answers that are a pure function of (body
-// bytes, statistics epoch): standalone server, planned cache hit, no
-// fault what-if, no trace section, cache not bypassed, outcome not
-// degraded or shared. Eviction and the epoch purge end a slot with its
-// entry, and a lookup refuses a slot built under another epoch.
+// Standalone and clustered nodes share this path. Slots are filled only
+// for answers that are a pure function of (body bytes, statistics epoch,
+// key owner): a planned cache hit — on a clustered node either its own
+// entry or its copy of the owner's (cluster_serve.go) — with no fault
+// what-if, no trace section, cache not bypassed, outcome not degraded,
+// shared or forwarded. Eviction and the epoch purge end a slot with its
+// entry, a lookup refuses a slot built under another epoch, and a
+// clustered node replays only while the slot's planner still owns the
+// key. Forwarded hops (X-Acq-Cluster-Hops) always take the regular path,
+// so the owner counts every hop it receives.
 
 // fastScratch is the request-scoped buffer set for the fast path: the
 // body read buffer, the response assembly buffer, and the generated
@@ -57,11 +62,16 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 	body, rerr := readBody(sc.body[:0], r.Body, maxBodyBytes)
 	sc.body = body
 	id := r.Header.Get("X-Request-Id")
-	var prefix []byte
+	var slot replaySlot
+	ok := false
 	if rerr == nil && len(body) <= maxBodyBytes && jsonSafe(id) {
-		prefix = s.cache.replay(body, s.Epoch())
+		slot, ok = s.cache.replay(body, s.Epoch())
+		if ok && s.cluster != nil {
+			owner, _ := s.cluster.Owner(slot.route)
+			ok = owner == slot.node
+		}
 	}
-	if prefix == nil {
+	if !ok {
 		// Miss: replay the consumed bytes (plus the unread remainder of an
 		// oversized body, or the read error) for the regular handler.
 		replay := io.Reader(bytes.NewReader(append([]byte(nil), body...)))
@@ -82,12 +92,14 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 	h := w.Header()
 	h["X-Request-Id"] = []string{id}
 	h["Content-Type"] = headerJSON
-	out := append(sc.out[:0], prefix...)
+	out := append(sc.out[:0], slot.prefix...)
 	out = append(out, `,"elapsed_ms":`...)
 	out = strconv.AppendFloat(out, float64(time.Since(start))/float64(time.Millisecond), 'f', -1, 64)
 	out = append(out, `,"request_id":"`...)
 	out = append(out, id...)
-	out = append(out, '"', '}', '\n')
+	out = append(out, '"')
+	out = append(out, slot.suffix...)
+	out = append(out, '\n')
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(out)
 	count(&s.metrics.cacheHits, 1)
@@ -101,12 +113,13 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 
 // maybeInstallFast offers a just-served /v1/plan cache hit to its
 // entry's replay slot when the answer is a pure function of the body
-// bytes and the epoch. raw is the request body exactly as received.
+// bytes, the epoch and the key's owner. raw is the request body exactly
+// as received.
 func (s *Server) maybeInstallFast(raw []byte, req planRequest, p plannerParams, canon query.Query, resp planResponse) {
-	if s.cluster != nil || req.Faults != nil || req.NoCache || p.traced || !resp.Cached {
+	if req.Faults != nil || req.NoCache || p.traced || !resp.Cached {
 		return
 	}
-	if resp.Degraded || resp.Shared || resp.Forwarded || resp.Node != "" || resp.Trace != nil {
+	if resp.Degraded || resp.Shared || resp.Forwarded || resp.Trace != nil {
 		return
 	}
 	resp.RequestID, resp.ElapsedMS = "", 0
@@ -115,14 +128,26 @@ func (s *Server) maybeInstallFast(raw []byte, req planRequest, p plannerParams, 
 		return
 	}
 	// With the per-request fields blanked and the omitempty tail fields
-	// empty, the serialization must end in the elapsed_ms member; if the
-	// response shape ever changes, refuse to install rather than splice
-	// into the wrong place.
-	const tail = `,"elapsed_ms":0}`
-	if !bytes.HasSuffix(blob, []byte(tail)) {
+	// empty, elapsed_ms is followed only by the closing brace or the node
+	// attribution (a bare `"` never occurs inside a JSON string, so the
+	// mark is unambiguous); if the response shape ever changes, refuse to
+	// install rather than splice into the wrong place.
+	const mark = `,"elapsed_ms":0`
+	i := bytes.Index(blob, []byte(mark))
+	if i < 0 {
 		return
 	}
-	s.cache.offer(cacheKey(p, canon, resp.Epoch), string(raw), blob[:len(blob)-len(tail)])
+	suffix := blob[i+len(mark):]
+	if string(suffix) != "}" && !bytes.HasPrefix(suffix, []byte(`,"node":`)) {
+		return
+	}
+	s.cache.offer(cacheKey(p, canon, resp.Epoch), replaySlot{
+		body:   string(raw),
+		prefix: blob[:i],
+		suffix: suffix,
+		node:   resp.Node,
+		route:  resp.Key,
+	})
 }
 
 // readBody appends the reader's bytes to dst, stopping shortly after

@@ -157,3 +157,35 @@ func TestServeCacheHitAllocs(t *testing.T) {
 		t.Errorf("cache-hit serve path allocates %.1f/op, gate is 3", allocs)
 	}
 }
+
+// TestServeClusterCacheHitAllocs is the clustered twin of
+// TestServeCacheHitAllocs: a fast-path hit on a non-owner, replayed from
+// its copy of the owner's answer after the allocation-free ownership
+// check, stays within the same 3 allocations. Like it, it must run
+// without -race.
+func TestServeClusterCacheHitAllocs(t *testing.T) {
+	if trace.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; ci.sh runs this gate without -race")
+	}
+	h := newClusterHarness(t, 3, nil)
+	h.converge(t)
+	const stmt = "SELECT * WHERE temp > 7 AND light > 11"
+	srv := h.srvs[(h.ownerIdx(t, stmt)+1)%3]
+	hot := newHotRequest("/v1/plan", `{"sql":"`+stmt+`"}`)
+	for i := 0; i < 3; i++ { // forward and keep a copy, fill the slot, replay
+		if rec := hot.do(srv); rec.status != http.StatusOK {
+			t.Fatalf("warmup status %d: %s", rec.status, rec.body)
+		}
+	}
+	if !strings.Contains(string(hot.do(srv).body), `"cached":true`) {
+		t.Fatal("warmed-up request is not a cache hit")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if rec := hot.do(srv); rec.status != http.StatusOK {
+			t.Fatalf("status %d", rec.status)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("clustered cache-hit serve path allocates %.1f/op, gate is 3", allocs)
+	}
+}

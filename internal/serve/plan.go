@@ -119,6 +119,10 @@ type planOutcome struct {
 	degraded  bool
 	epoch     uint64
 	planMS    float64
+	// planner is the advertised URL of the peer that planned this
+	// outcome when it is a clustered node's copy of the owner's answer
+	// (cluster_serve.go), and empty for outcomes planned here.
+	planner string
 	// traceSnap carries the planner run's phase timings and search
 	// counters when the request asked for them. It describes one run, so
 	// it is stripped before the outcome enters the cache: a cache hit
@@ -266,8 +270,11 @@ type distEpoch struct {
 // singleflight group. cached reports an LRU hit; shared reports a result
 // taken from a concurrent identical request's run. noStore suppresses
 // cache writes while still allowing reads: fault-injected requests use it
-// so the what-if path can never populate the cache.
-func (s *Server) planCached(reqCtx context.Context, canon query.Query, p plannerParams, noCache, noStore bool) (out planOutcome, cached, shared bool, err error) {
+// so the what-if path can never populate the cache. copies lets a copy
+// of a peer's answer satisfy the lookup; /v1/plan passes false, because
+// it plans here only what this node owns, and a copy kept from an
+// earlier owner must not answer once ownership has moved.
+func (s *Server) planCached(reqCtx context.Context, canon query.Query, p plannerParams, noCache, noStore, copies bool) (out planOutcome, cached, shared bool, err error) {
 	dist, epoch, err := s.modelSnapshot(p.model)
 	if err != nil {
 		return planOutcome{}, false, false, fmt.Errorf("serve: fitting model %q: %w", p.model, err)
@@ -282,7 +289,7 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 		flightKey += "|strict"
 	}
 	if !noCache {
-		if hit, ok := s.cache.get(key); ok {
+		if hit, ok := s.cachedOutcome(key, copies); ok {
 			count(&s.metrics.cacheHits, 1)
 			return hit, true, false, nil
 		}
@@ -291,7 +298,7 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 		// Re-check the cache inside the flight: a previous leader may have
 		// populated it between our miss and acquiring leadership.
 		if !noCache {
-			if hit, ok := s.cache.get(key); ok {
+			if hit, ok := s.cachedOutcome(key, copies); ok {
 				return hit, nil
 			}
 		}
@@ -333,4 +340,11 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 		count(&s.metrics.cacheMisses, 1)
 	}
 	return out, false, shared, nil
+}
+
+// cachedOutcome looks key up in the plan cache. A copy of a peer's
+// answer counts as a hit only when copies is set.
+func (s *Server) cachedOutcome(key string, copies bool) (planOutcome, bool) {
+	hit, ok := s.cache.get(key)
+	return hit, ok && (copies || hit.planner == "")
 }

@@ -173,7 +173,7 @@ func checkPlanCache(t *testing.T, srv *Server, step int) {
 	}
 	slots := 0
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*cacheEntry).body != "" {
+		if el.Value.(*cacheEntry).slot.body != "" {
 			slots++
 		}
 	}
@@ -185,8 +185,8 @@ func checkPlanCache(t *testing.T, srv *Server, step int) {
 		if c.m[e.key] != el {
 			t.Fatalf("step %d: body %q indexes an evicted entry %q", step, body, e.key)
 		}
-		if e.body != body {
-			t.Fatalf("step %d: body %q indexes an entry whose slot holds %q", step, body, e.body)
+		if e.slot.body != body {
+			t.Fatalf("step %d: body %q indexes an entry whose slot holds %q", step, body, e.slot.body)
 		}
 	}
 }

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"fmt"
 	"time"
+
+	"acqp/internal/cluster"
 
 	"acqp/internal/stats"
 	"acqp/internal/table"
 )
+
+// errEpochCeiling refuses a refresh at the highest epoch a node may
+// reach.
+var errEpochCeiling = fmt.Errorf("serve: statistics epoch is at its ceiling %d; refusing to refresh past it", cluster.EpochCeiling)
 
 // Refresh compares the sliding window's distribution with the one the
 // current epoch's plans were built on and, when the drift exceeds the
@@ -17,7 +24,11 @@ import (
 // was built with no longer match the stream" trigger as Section 7's
 // stream extension, applied service-wide instead of per continuous
 // query.
-func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint64, purged int) {
+//
+// A refresh that would carry the epoch past cluster.EpochCeiling fails
+// with errEpochCeiling and changes nothing: the epoch never wraps, so no
+// entry planned on superseded statistics can become current again.
+func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint64, purged int, err error) {
 	s.wmu.Lock()
 	n := s.window.Len()
 	var fresh *stats.Empirical
@@ -28,13 +39,13 @@ func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint6
 	}
 	s.wmu.Unlock()
 	if fresh == nil {
-		return false, 0, s.Epoch(), 0
+		return false, 0, s.Epoch(), 0, nil
 	}
 
 	cur, curEpoch := s.snapshot()
 	drift = maxTotalVariation(cur, fresh)
 	if !force && drift <= s.cfg.DriftThreshold {
-		return false, drift, curEpoch, 0
+		return false, drift, curEpoch, 0, nil
 	}
 
 	s.mu.Lock()
@@ -44,7 +55,11 @@ func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint6
 		// leave the newer epoch in place.
 		epoch = s.epoch
 		s.mu.Unlock()
-		return false, drift, epoch, 0
+		return false, drift, epoch, 0, nil
+	}
+	if s.epoch >= cluster.EpochCeiling {
+		s.mu.Unlock()
+		return false, drift, curEpoch, 0, errEpochCeiling
 	}
 	s.dist = fresh
 	s.histTbl = freshTbl
@@ -65,7 +80,7 @@ func (s *Server) Refresh(force bool) (refreshed bool, drift float64, epoch uint6
 		// the gossip interval, so their stale cache entries purge now.
 		s.cluster.Poke()
 	}
-	return true, drift, epoch, purged
+	return true, drift, epoch, purged, nil
 }
 
 // maxTotalVariation returns max_i TV(P_i, Q_i) over the attributes'
@@ -94,7 +109,8 @@ func maxTotalVariation(a, b stats.Dist) float64 {
 	return maxTV
 }
 
-// refresher periodically runs Refresh until Shutdown.
+// refresher periodically runs Refresh until Shutdown, or until the
+// epoch reaches its ceiling.
 func (s *Server) refresher() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.RefreshInterval)
@@ -102,7 +118,11 @@ func (s *Server) refresher() {
 	for {
 		select {
 		case <-t.C:
-			s.Refresh(false)
+			if _, _, _, _, err := s.Refresh(false); err != nil {
+				// The epoch is at its ceiling and never comes down:
+				// every later drift check would be refused the same way.
+				return
+			}
 		case <-s.baseCtx.Done():
 			return
 		}

@@ -332,12 +332,13 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 // response bodies, and stamps the structured access-log line when
 // Config.AccessLog is set.
 //
-// Standalone /v1/plan requests first consult the plan cache's replay
-// slots (fast.go): a body that byte-matches a previously served
-// deterministic answer is replayed from its pre-serialized blob without
-// touching the mux, the JSON decoder, or the SQL parser.
+// /v1/plan requests from clients (not forwarded hops) first consult the
+// plan cache's replay slots (fast.go): a body that byte-matches a
+// previously served deterministic answer is replayed from its
+// pre-serialized blob without touching the mux, the JSON decoder, or the
+// SQL parser.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil && r.Method == http.MethodPost && r.URL.Path == "/v1/plan" {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/plan" && r.Header[hopsHeader] == nil {
 		if s.serveFast(w, r, time.Now()) {
 			return
 		}
@@ -386,6 +387,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Announce the leave while peers can still reach us; the gossip
 		// loop runs under baseCtx and stops with everything else.
 		s.cluster.Stop(ctx)
+		s.forwardClient.CloseIdleConnections()
 	}
 	s.cancel()
 	done := make(chan struct{})
