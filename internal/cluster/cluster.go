@@ -273,6 +273,18 @@ func (n *Node) Owner(key string) (url string, self bool) {
 	return best, best == n.cfg.Self
 }
 
+// Steady reports whether url is an alive peer that has missed no
+// exchange since it was last heard from. The serving layer answers from
+// its copies of a peer's answers only while the peer is steady, so a
+// peer cut off from this node stops vouching for them at the first
+// failed exchange rather than after FailAfter of them.
+func (n *Node) Steady(url string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	m, ok := n.members[url]
+	return ok && m.state == stateAlive && m.misses == 0
+}
+
 // OwnerOrder returns every current ownership candidate for a key —
 // self plus the alive peers — in descending rendezvous-score order,
 // with Owner's tie rule. The head is the Owner; the tail is the

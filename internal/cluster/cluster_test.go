@@ -298,6 +298,28 @@ func TestFailureDetectionAndRevival(t *testing.T) {
 	}
 }
 
+// TestSteady pins the copy-serving condition: a peer is steady only
+// while alive with no missed exchange since it was last heard from.
+func TestSteady(t *testing.T) {
+	const peer = "http://n2:2"
+	n := newTestNode(t, "http://n1:1", []string{peer}, nil)
+	if n.Steady(peer) || n.Steady("http://n1:1") || n.Steady("http://unknown:9") {
+		t.Fatal("a pending peer, self or an unknown URL is steady")
+	}
+	n.merge(wireDigest{From: peer, Members: []wireMember{{URL: peer, Epoch: 1}}})
+	if !n.Steady(peer) {
+		t.Fatal("peer just heard from is not steady")
+	}
+	n.ReportFailure(peer) // one miss of FailAfter 3: still alive, no longer steady
+	if n.Steady(peer) {
+		t.Fatal("peer with a missed exchange is steady")
+	}
+	n.merge(wireDigest{From: peer, Members: []wireMember{{URL: peer, Epoch: 1}}})
+	if !n.Steady(peer) {
+		t.Fatal("peer heard from again is not steady")
+	}
+}
+
 func TestLeaveExcludesAndRejoinRevives(t *testing.T) {
 	n := newTestNode(t, "http://n1:1", []string{"http://n2:2"}, nil)
 	markAlive(n, "http://n2:2")

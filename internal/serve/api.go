@@ -444,8 +444,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if trivial {
 		out = s.trivialOutcome(trivialResult, s.Epoch())
 	} else {
-		// /v1/execute is never routed: it runs whatever plan this node
-		// holds for the key, a copy of the owner's included.
+		// /v1/execute is never routed: it runs the plan this node holds
+		// for the key, a copy of the owner's included while that owner
+		// still answers for it.
 		out, cached, shared, err = s.planCached(r.Context(), canon, p, req.NoCache, req.Faults != nil, true)
 		if err != nil {
 			writePlanError(w, err)

@@ -45,10 +45,17 @@ type replaySlot struct {
 // additionally purges superseded epochs eagerly so their memory is
 // reclaimed ahead of LRU pressure. bodies indexes the entries' replay
 // slots by request body, so it never holds more than max bodies.
+//
+// Entries planned here and copies of peers' answers share the capacity
+// but keep separate recency lists, and a copy only ever takes room no
+// planned entry wants: the planned entries a node holds are exactly
+// those it would hold with no copies at all, so copies never cost an
+// owner a planner run.
 type lruCache struct {
 	mu     sync.Mutex
 	max    int
-	ll     *list.List // front = most recently used; values are *cacheEntry
+	ll     *list.List // entries planned here; front = most recently used; values are *cacheEntry
+	copies *list.List // copies of peers' answers, ordered the same way
 	m      map[string]*list.Element
 	bodies map[string]*list.Element
 }
@@ -57,7 +64,15 @@ func newLRUCache(max int) *lruCache {
 	if max < 1 {
 		max = 1
 	}
-	return &lruCache{max: max, ll: list.New(), m: make(map[string]*list.Element, max), bodies: make(map[string]*list.Element)}
+	return &lruCache{max: max, ll: list.New(), copies: list.New(), m: make(map[string]*list.Element, max), bodies: make(map[string]*list.Element)}
+}
+
+// listOf is the recency list an entry lives on. Callers hold c.mu.
+func (c *lruCache) listOf(e *cacheEntry) *list.List {
+	if e.outcome.planner != "" {
+		return c.copies
+	}
+	return c.ll
 }
 
 // get returns the cached outcome for key, marking it most recently used.
@@ -68,26 +83,41 @@ func (c *lruCache) get(key string) (planOutcome, bool) {
 	if !ok {
 		return planOutcome{}, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).outcome, true
+	e := el.Value.(*cacheEntry)
+	c.listOf(e).MoveToFront(el)
+	return e.outcome, true
 }
 
-// add inserts an outcome, evicting the least recently used entry when the
-// cache is full. Re-adding an existing key refreshes its value and
-// recency and empties its replay slot.
+// add inserts an outcome, evicting when the cache is full: the least
+// recently used copy if there is one, else the least recently used
+// planned entry. Re-adding an existing key refreshes its value and
+// recency and empties its replay slot. A copy (out.planner set) is
+// dropped instead when keeping it would cost a planned entry: the key
+// already holds one, or the cache is full of them.
 func (c *lruCache) add(key string, epoch uint64, out planOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	isCopy := out.planner != ""
 	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.outcome = out
-		c.clearSlot(e)
+		if isCopy && el.Value.(*cacheEntry).outcome.planner == "" {
+			return
+		}
+		c.remove(el)
+	}
+	if isCopy && c.ll.Len() >= c.max {
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, outcome: out})
-	for c.ll.Len() > c.max {
-		c.remove(c.ll.Back())
+	l := c.ll
+	if isCopy {
+		l = c.copies
+	}
+	c.m[key] = l.PushFront(&cacheEntry{key: key, epoch: epoch, outcome: out})
+	for c.ll.Len()+c.copies.Len() > c.max {
+		if back := c.copies.Back(); back != nil {
+			c.remove(back)
+		} else {
+			c.remove(c.ll.Back())
+		}
 	}
 }
 
@@ -102,7 +132,7 @@ func (c *lruCache) replay(body []byte, epoch uint64) (replaySlot, bool) {
 		return replaySlot{}, false
 	}
 	e := el.Value.(*cacheEntry)
-	c.ll.MoveToFront(el)
+	c.listOf(e).MoveToFront(el)
 	e.used = true
 	return e.slot, true
 }
@@ -141,7 +171,7 @@ func (c *lruCache) clearSlot(e *cacheEntry) {
 // remove unlinks an entry and its replay slot. Callers hold c.mu.
 func (c *lruCache) remove(el *list.Element) {
 	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
+	c.listOf(e).Remove(el)
 	delete(c.m, e.key)
 	c.clearSlot(e)
 }
@@ -152,13 +182,15 @@ func (c *lruCache) invalidateBefore(epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	purged := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*cacheEntry).epoch < epoch {
-			c.remove(el)
-			purged++
+	for _, l := range []*list.List{c.ll, c.copies} {
+		for el := l.Front(); el != nil; {
+			next := el.Next()
+			if el.Value.(*cacheEntry).epoch < epoch {
+				c.remove(el)
+				purged++
+			}
+			el = next
 		}
-		el = next
 	}
 	return purged
 }
@@ -167,5 +199,5 @@ func (c *lruCache) invalidateBefore(epoch uint64) int {
 func (c *lruCache) lens() (n, max int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len(), c.max
+	return c.ll.Len() + c.copies.Len(), c.max
 }

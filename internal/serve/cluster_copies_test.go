@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,6 +227,10 @@ func TestClusterCopies(t *testing.T) {
 			if fastHit(h.srvs[e], slotBody) {
 				t.Errorf("node %d: fast path replayed a copy whose planner no longer owns the key", e)
 			}
+			code, ex := clusterPost[executeResponse](t, h, h.urls[e], "/v1/execute", planRequest{SQL: copied})
+			if code != http.StatusOK || ex.Cached {
+				t.Errorf("node %d: /v1/execute status %d cached=%v, want the old owner's copy not run", e, code, ex.Cached)
+			}
 		}
 		for _, e := range entries {
 			for _, body := range []string{copyBody, slotBody} {
@@ -269,6 +275,91 @@ func TestClusterCopies(t *testing.T) {
 		if n := srv.metrics.degradedPartition.Load(); n != 0 {
 			t.Errorf("entry holding a copy degraded %d answers", n)
 		}
+		// The copy answers only until an exchange with the owner fails:
+		// from then on the owner may have refreshed unseen, so the entry
+		// asks it again, on either path.
+		srv.cluster.GossipOnce(context.Background())
+		if fastHit(srv, body) {
+			t.Error("fast path replayed the copy after an exchange with its owner failed")
+		}
+		pr := decodeResp[planResponse](t, postRaw(t, srv, "/v1/plan", body, nil))
+		if srv.metrics.peer(owner).forwardsSent.Load() == sent {
+			t.Error("no forward attempt after an exchange with the owner failed")
+		}
+		if pr.Node == owner {
+			t.Errorf("answered as planned by the unreachable owner: cached=%v forwarded=%v", pr.Cached, pr.Forwarded)
+		}
+	})
+
+	t.Run("owner refresh reaches copies by gossip", func(t *testing.T) {
+		// The window a copy can lag its owner: from the owner's refresh to
+		// the next gossip exchange (a refresh pokes one at once). Inside
+		// it the copy answers at the old epoch, and says so; after it the
+		// copy is gone and the entry fetches the new answer.
+		h := newClusterHarness(t, 3, nil)
+		h.converge(t)
+		o := h.ownerIdx(t, stmt)
+		e := (o + 1) % 3
+		entry := h.urls[e]
+		if code, _ := clusterPost[planResponse](t, h, entry, "/v1/plan", planRequest{SQL: stmt}); code != http.StatusOK {
+			t.Fatalf("first request: status %d", code)
+		}
+		if code, rr := clusterPost[refreshResponse](t, h, h.urls[o], "/v1/refresh", refreshRequest{Force: true}); code != http.StatusOK || rr.Epoch != 2 {
+			t.Fatalf("owner refresh: status %d %+v", code, rr)
+		}
+		_, stale := clusterPost[planResponse](t, h, entry, "/v1/plan", planRequest{SQL: stmt})
+		if !stale.Cached || stale.Forwarded || stale.Epoch != 1 {
+			t.Errorf("before gossip: cached=%v forwarded=%v epoch %d, want the copy at epoch 1", stale.Cached, stale.Forwarded, stale.Epoch)
+		}
+		h.srvs[o].cluster.GossipOnce(context.Background())
+		_, fresh := clusterPost[planResponse](t, h, entry, "/v1/plan", planRequest{SQL: stmt})
+		if !fresh.Forwarded || fresh.Epoch != 2 {
+			t.Errorf("after gossip: forwarded=%v epoch %d, want the owner's answer at epoch 2", fresh.Forwarded, fresh.Epoch)
+		}
+		_, again := clusterPost[planResponse](t, h, entry, "/v1/plan", planRequest{SQL: stmt})
+		if !again.Cached || again.Forwarded || again.Epoch != 2 {
+			t.Errorf("repeat: cached=%v forwarded=%v epoch %d, want a copy at epoch 2", again.Cached, again.Forwarded, again.Epoch)
+		}
+	})
+
+	t.Run("copies never evict planned entries", func(t *testing.T) {
+		// Three 4-entry caches and twelve keys, four per owner: every
+		// owner's shard fits its cache, but no node can hold every key.
+		// Sending each key to every node twice must plan each key once —
+		// copies fill only what the owners' planned entries leave free.
+		const per = 4
+		h := newClusterHarness(t, 3, func(i int, cfg *Config) { cfg.CacheSize = per })
+		h.converge(t)
+		var stmts []string
+		owners := map[string]string{}
+		shard := map[int]int{}
+		for a := 0; a < 15 && len(stmts) < 3*per; a++ {
+			for b := 0; b < 15 && len(stmts) < 3*per; b++ {
+				stmt := fmt.Sprintf("SELECT * WHERE temp > %d AND light > %d", a, b)
+				o := h.ownerIdx(t, stmt)
+				if k := canonKeyOf(t, stmt); owners[k] == "" && shard[o] < per {
+					owners[k] = h.urls[o]
+					shard[o]++
+					stmts = append(stmts, stmt)
+				}
+			}
+		}
+		if len(stmts) != 3*per {
+			t.Fatalf("found %d keys of %d", len(stmts), 3*per)
+		}
+		for round := 0; round < 2; round++ {
+			for _, stmt := range stmts {
+				for _, u := range h.urls {
+					if code, _ := clusterPost[planResponse](t, h, u, "/v1/plan", planRequest{SQL: stmt}); code != http.StatusOK {
+						t.Fatalf("round %d %q at %s: status %d", round, stmt, u, code)
+					}
+				}
+			}
+		}
+		if calls := h.plannerCallsTotal(); calls != int64(len(stmts)) {
+			t.Errorf("%d planner runs for %d keys: copies evicted planned entries", calls, len(stmts))
+		}
+		h.checkOwnerOnlyPlanning(t, owners)
 	})
 
 	t.Run("execute runs the copy", func(t *testing.T) {
@@ -296,6 +387,41 @@ func TestClusterCopies(t *testing.T) {
 				got.MeanCost, got.PlanB64, got.Selected, want.MeanCost, want.PlanB64, want.Selected)
 		}
 	})
+}
+
+// TestClusterForwardsReuseConnections pins the cluster client's own
+// transport: concurrent forwards to one owner reuse pooled connections.
+// Fault what-ifs are never kept as copies, so every request forwards;
+// http.DefaultTransport keeps two idle connections per peer and would
+// dial most of these forwards anew.
+func TestClusterForwardsReuseConnections(t *testing.T) {
+	const stmt = "SELECT * WHERE temp > 7 AND light > 11"
+	const clients, per = 16, 100
+	h := newClusterHarness(t, 3, nil)
+	h.converge(t)
+	o := h.ownerIdx(t, stmt)
+	srv := h.srvs[(o+1)%3]
+	body := `{"sql":"` + stmt + `","faults":{"seed":3,"p_fail":0.2}}`
+	before := h.conns[o].Load()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+				if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"forwarded":true`) {
+					t.Errorf("status %d, want a forwarded 200: %s", w.Code, w.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if dialed := h.conns[o].Load() - before; dialed > 2*clients {
+		t.Errorf("%d forwards from %d clients opened %d connections to the owner, want at most %d", clients*per, clients, dialed, 2*clients)
+	}
 }
 
 // TestClusterEpochsCannotWrap replays the stale-plan sequence a peer's

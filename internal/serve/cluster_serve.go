@@ -31,13 +31,14 @@ import (
 // run exactly once cluster-wide per distinct query — the in-process
 // singleflight guarantee, extended across processes. Caching is not
 // owner-only: a node that forwarded a key keeps a copy of the owner's
-// whole answer at the owner's epoch in its own plan cache, and answers
-// later hits from it (fast path included) while that owner still owns
-// the key. Statistics epochs stay coherent through internal/cluster's
-// gossip: a drift refresh on one node bumps every peer's epoch and
-// purges their stale entries, copies included; the distributions
-// themselves remain local (each node re-learns from its own window),
-// which is safe because only a key's owner plans it.
+// whole answer at the owner's epoch in its own plan cache — in room no
+// planned entry wants (cache.go) — and answers later hits from it (fast
+// path included) while that owner still owns the key and has missed no
+// exchange with this node. Statistics epochs stay coherent through
+// internal/cluster's gossip: a drift refresh on one node bumps every
+// peer's epoch and purges their stale entries, copies included; the
+// distributions themselves remain local (each node re-learns from its
+// own window), which is safe because only a key's owner plans it.
 
 // ClusterConfig joins a Server to a planning cluster.
 type ClusterConfig struct {
@@ -277,8 +278,8 @@ func (e *remoteError) Error() string {
 //
 //   - no cluster, we own the key, or the request already took an
 //     internal hop → plan locally through the cache;
-//   - a peer owns the key and we hold a copy of its answer at the
-//     current epoch → answer from the copy, with no hop;
+//   - a peer owns the key, is steady, and we hold a copy of its answer
+//     at the current epoch → answer from the copy, with no hop;
 //   - a peer owns the key → forward the raw request to it, retrying
 //     with capped backoff (bounded by the retry budget) and honoring
 //     Retry-After on a shed, and keep a copy of its whole answer;
@@ -316,9 +317,10 @@ func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams,
 		return out, cached, shared, s.clusterSelf, false, err
 	}
 	if !req.NoCache {
-		// A copy answers only for the peer that planned it: once
-		// ownership moves, the new owner is asked.
-		if hit, ok := s.cache.get(cacheKey(p, canon, s.Epoch())); ok && hit.planner == order[0] {
+		// A copy answers only for the peer that planned it, and only while
+		// that peer is steady: once ownership moves the new owner is asked,
+		// and once an exchange with the owner fails it is asked again.
+		if hit, ok := s.cache.get(cacheKey(p, canon, s.Epoch())); ok && hit.planner == order[0] && s.cluster.Steady(order[0]) {
 			count(&s.metrics.cacheHits, 1)
 			return hit, true, false, order[0], false, nil
 		}
@@ -388,8 +390,9 @@ func (s *Server) planRouted(r *http.Request, canon query.Query, p plannerParams,
 // and one at another epoch was planned on statistics this node has
 // either not reached or already purged. The copy holds the decoded plan,
 // because /v1/execute runs cached outcomes; an answer whose plan does
-// not decode is not kept. The caller has already excluded failover
-// deputies, no_cache and fault what-ifs.
+// not decode is not kept, and the cache declines a copy that would cost
+// a planned entry. The caller has already excluded failover deputies,
+// no_cache and fault what-ifs.
 func (s *Server) keepCopy(p plannerParams, canon query.Query, owner string, out planOutcome) {
 	epoch := s.Epoch()
 	if out.degraded || out.epoch != epoch {
@@ -405,6 +408,17 @@ func (s *Server) keepCopy(p plannerParams, canon query.Query, owner string, out 
 	}
 	out.node, out.planner, out.traceSnap = node, owner, nil
 	s.cache.add(cacheKey(p, canon, epoch), epoch, out)
+}
+
+// answersFor reports whether this node may answer a cached hit on the
+// canonical key route that planner planned: planner still owns the key
+// in this node's view and, when it is a peer, is steady. The second
+// condition bounds a copy's staleness: an owner's refresh reaches this
+// node with the next gossip exchange, and an owner this node cannot
+// reach stops being steady at the first failed one.
+func (s *Server) answersFor(planner, route string) bool {
+	owner, self := s.cluster.Owner(route)
+	return owner == planner && (self || s.cluster.Steady(planner))
 }
 
 // forwardResilient forwards one planning request to one peer with the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +29,7 @@ type clusterHarness struct {
 	srvs  []*Server
 	https []*http.Server
 	cli   *http.Client
+	conns []*atomic.Int64 // connections each node has accepted
 }
 
 func newClusterHarness(t *testing.T, n int, mod func(i int, cfg *Config)) *clusterHarness {
@@ -62,8 +65,14 @@ func newClusterHarness(t *testing.T, n int, mod func(i int, cfg *Config)) *clust
 			t.Fatal(err)
 		}
 		h.srvs = append(h.srvs, srv)
-		hs := &http.Server{Handler: srv}
+		conns := new(atomic.Int64)
+		hs := &http.Server{Handler: srv, ConnState: func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns.Add(1)
+			}
+		}}
 		h.https = append(h.https, hs)
+		h.conns = append(h.conns, conns)
 		go func(hs *http.Server, ln net.Listener) { _ = hs.Serve(ln) }(hs, lns[i])
 	}
 	t.Cleanup(func() {
@@ -184,12 +193,23 @@ func cacheView(srv *Server) map[string]string {
 	srv.cache.mu.Lock()
 	defer srv.cache.mu.Unlock()
 	view := map[string]string{}
-	for el := srv.cache.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
+	for _, e := range srv.cache.entriesLocked() {
 		_, route, _ := strings.Cut(e.key, "|")
 		view[route] = e.outcome.planner
 	}
 	return view
+}
+
+// entriesLocked lists the cache's entries, planned ones first, each
+// list most recently used first. Callers hold c.mu.
+func (c *lruCache) entriesLocked() []*cacheEntry {
+	var es []*cacheEntry
+	for _, l := range []*list.List{c.ll, c.copies} {
+		for el := l.Front(); el != nil; el = el.Next() {
+			es = append(es, el.Value.(*cacheEntry))
+		}
+	}
+	return es
 }
 
 // checkOwnerOnlyPlanning requires the cluster's caches to hold exactly

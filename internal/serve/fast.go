@@ -27,8 +27,9 @@ import (
 // shared or forwarded. Eviction and the epoch purge end a slot with its
 // entry, a lookup refuses a slot built under another epoch, and a
 // clustered node replays only while the slot's planner still owns the
-// key. Forwarded hops (X-Acq-Cluster-Hops) always take the regular path,
-// so the owner counts every hop it receives.
+// key and, for a copy, is steady (answersFor). Forwarded hops
+// (X-Acq-Cluster-Hops) always take the regular path, so the owner counts
+// every hop it receives.
 
 // fastScratch is the request-scoped buffer set for the fast path: the
 // body read buffer, the response assembly buffer, and the generated
@@ -67,8 +68,7 @@ func (s *Server) serveFast(w http.ResponseWriter, r *http.Request, start time.Ti
 	if rerr == nil && len(body) <= maxBodyBytes && jsonSafe(id) {
 		slot, ok = s.cache.replay(body, s.Epoch())
 		if ok && s.cluster != nil {
-			owner, _ := s.cluster.Owner(slot.route)
-			ok = owner == slot.node
+			ok = s.answersFor(slot.node, slot.route)
 		}
 	}
 	if !ok {

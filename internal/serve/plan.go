@@ -271,9 +271,9 @@ type distEpoch struct {
 // taken from a concurrent identical request's run. noStore suppresses
 // cache writes while still allowing reads: fault-injected requests use it
 // so the what-if path can never populate the cache. copies lets a copy
-// of a peer's answer satisfy the lookup; /v1/plan passes false, because
-// it plans here only what this node owns, and a copy kept from an
-// earlier owner must not answer once ownership has moved.
+// of a peer's answer satisfy the lookup while that peer still answers
+// for the key; /v1/plan passes false, because it plans here only what
+// this node owns and looks its copies up itself (planRouted).
 func (s *Server) planCached(reqCtx context.Context, canon query.Query, p plannerParams, noCache, noStore, copies bool) (out planOutcome, cached, shared bool, err error) {
 	dist, epoch, err := s.modelSnapshot(p.model)
 	if err != nil {
@@ -289,7 +289,7 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 		flightKey += "|strict"
 	}
 	if !noCache {
-		if hit, ok := s.cachedOutcome(key, copies); ok {
+		if hit, ok := s.cachedOutcome(key, canon, copies); ok {
 			count(&s.metrics.cacheHits, 1)
 			return hit, true, false, nil
 		}
@@ -298,7 +298,7 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 		// Re-check the cache inside the flight: a previous leader may have
 		// populated it between our miss and acquiring leadership.
 		if !noCache {
-			if hit, ok := s.cachedOutcome(key, copies); ok {
+			if hit, ok := s.cachedOutcome(key, canon, copies); ok {
 				return hit, nil
 			}
 		}
@@ -343,8 +343,9 @@ func (s *Server) planCached(reqCtx context.Context, canon query.Query, p planner
 }
 
 // cachedOutcome looks key up in the plan cache. A copy of a peer's
-// answer counts as a hit only when copies is set.
-func (s *Server) cachedOutcome(key string, copies bool) (planOutcome, bool) {
+// answer counts as a hit only when copies is set and the peer may still
+// answer for canon (answersFor).
+func (s *Server) cachedOutcome(key string, canon query.Query, copies bool) (planOutcome, bool) {
 	hit, ok := s.cache.get(key)
-	return hit, ok && (copies || hit.planner == "")
+	return hit, ok && (hit.planner == "" || copies && s.answersFor(hit.planner, canon.Key()))
 }

@@ -172,8 +172,8 @@ func checkPlanCache(t *testing.T, srv *Server, step int) {
 		t.Fatalf("step %d: %d indexed bodies, capacity %d", step, len(c.bodies), c.max)
 	}
 	slots := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*cacheEntry).slot.body != "" {
+	for _, e := range c.entriesLocked() {
+		if e.slot.body != "" {
 			slots++
 		}
 	}

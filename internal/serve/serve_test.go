@@ -497,6 +497,48 @@ func TestLRUCacheEvictionAndRecency(t *testing.T) {
 	}
 }
 
+// TestLRUCacheCopiesYieldToPlanned pins the shared capacity: a copy
+// evicts only copies, a planned entry evicts copies first, and a copy
+// never takes a planned entry's key or the last free room from one.
+func TestLRUCacheCopiesYieldToPlanned(t *testing.T) {
+	c := newLRUCache(2)
+	planned, cp := planOutcome{rendered: "p"}, planOutcome{rendered: "c", planner: "http://peer"}
+	has := func(key string) bool {
+		_, ok := c.get(key)
+		return ok
+	}
+	c.add("a", 1, planned)
+	c.add("x", 1, cp)
+	c.add("y", 1, cp) // full: evicts the copy x, not the older planned a
+	if has("x") || !has("a") || !has("y") {
+		t.Fatalf("copy y evicted a planned entry: a=%v x=%v y=%v", has("a"), has("x"), has("y"))
+	}
+	c.add("b", 1, planned) // full: evicts the copy y, though a is older
+	if has("y") || !has("a") || !has("b") {
+		t.Fatalf("planned b evicted a planned entry before a copy: a=%v b=%v y=%v", has("a"), has("b"), has("y"))
+	}
+	c.add("z", 1, cp) // full of planned entries: not kept
+	c.add("a", 1, cp) // a copy never replaces a planned entry
+	if has("z") {
+		t.Error("copy z kept in a cache full of planned entries")
+	}
+	if out, _ := c.get("a"); out.planner != "" {
+		t.Error("copy replaced the planned entry under its key")
+	}
+	if n, _ := c.lens(); n != 2 {
+		t.Errorf("lens = %d, want 2", n)
+	}
+	c.invalidateBefore(2)
+	c.add("x", 2, cp)
+	c.add("x", 2, planned) // a planned outcome replaces a copy
+	if out, _ := c.get("x"); out.planner != "" {
+		t.Error("planned outcome did not replace the copy under its key")
+	}
+	if n, _ := c.lens(); n != 1 {
+		t.Errorf("lens = %d after replacing a copy, want 1", n)
+	}
+}
+
 func TestCacheEvictionViaServer(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.CacheSize = 2 })
 	defer shutdownServer(t, srv)
